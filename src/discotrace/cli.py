@@ -1,10 +1,10 @@
 """Command-line entry point wiring the modules into batch workflows.
 
-Every subcommand reads and writes JSONL. All randomness flows from the
-config seed (overridable with --seed); with mock backends no subcommand
-performs network I/O, so runs replay byte-identically. Exit codes: 0
-success (including degraded runs with diagnostics), 1 input error, 2
-backend failure.
+Every subcommand reads and writes JSONL. The only randomness is the
+question draw of ``sample``, fixed by its --seed; with mock backends no
+subcommand performs network I/O, so runs replay byte-identically. Exit
+codes: 0 success (including degraded runs with diagnostics), 1 input
+error, 2 backend failure.
 """
 
 from __future__ import annotations

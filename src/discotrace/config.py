@@ -25,7 +25,6 @@ class PipelineConfig:
     smoothing: Smoothing = field(default_factory=Smoothing)
     dedup_threshold: float = DEFAULT_DEDUP_THRESHOLD
     max_in_flight: int = 4
-    seed: int = 0
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: Optional[Path] = None) -> "PipelineConfig":
@@ -71,7 +70,6 @@ class PipelineConfig:
             ),
             dedup_threshold=threshold,
             max_in_flight=int(doc.get("max_in_flight", 4)),
-            seed=int(doc.get("seed", 0)),
         )
 
     @classmethod

@@ -130,7 +130,7 @@ def _extract(payload, path):
 
 
 def _post_with_retries(backend: BackendSpec, body: dict):
-    """POST with exponential backoff on transport failures and 5xx."""
+    """POST with exponential backoff on transport failures, 5xx and non-JSON bodies."""
     last_error = None
     for attempt in range(backend.retry_limit + 1):
         if attempt:
@@ -152,7 +152,10 @@ def _post_with_retries(backend: BackendSpec, body: dict):
             continue
         if response.status_code >= 400:
             raise TransportError(f"backend returned {response.status_code}: {response.text}")
-        return response.json()
+        try:
+            return response.json()
+        except ValueError as exc:  # a 2xx body that is not JSON is retried like a 5xx
+            last_error = TransportError(f"backend returned a body that is not JSON: {exc}")
     raise TransportError(f"exhausted {backend.retry_limit} retries: {last_error}")
 
 

@@ -44,10 +44,6 @@ class TaggedSegment:
     act_id: str
     continuation: bool = False
 
-    @property
-    def text_key(self):
-        return self.edu_indices
-
 
 @dataclass
 class TraceStep:

@@ -12,11 +12,11 @@ import csv
 import json
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from itertools import groupby
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import chi2_contingency
 
 from .errors import (
     EmptyCorpus,
@@ -46,22 +46,12 @@ class Smoothing:
 
 
 def _as_sequences(traces) -> list[list[str]]:
-    sequences = []
-    for trace in traces:
-        if isinstance(trace, DiscoTrace):
-            sequences.append(trace.act_sequence())
-        else:
-            sequences.append(list(trace))
-    return sequences
+    return [t.act_sequence() if isinstance(t, DiscoTrace) else list(t) for t in traces]
 
 
 def collapse_adjacent(tokens: Sequence[str]) -> list[str]:
     """Drop each token equal to its immediate predecessor."""
-    out = []
-    for token in tokens:
-        if not out or out[-1] != token:
-            out.append(token)
-    return out
+    return [token for token, _ in groupby(tokens)]
 
 
 def iter_transitions(sequences: list[list[str]]):
@@ -71,39 +61,66 @@ def iter_transitions(sequences: list[list[str]]):
         yield from zip(tokens, tokens[1:])
 
 
+def transition_matrix(sequences: list[list[str]], vocabulary: Sequence[str]) -> np.ndarray:
+    """(|V|+1)x(|V|+1) counts of START-wrapped, collapsed transitions, START's row and
+    END's column last. A token outside ``vocabulary`` raises KeyError."""
+    n = len(vocabulary)
+    index = {tok: i for i, tok in enumerate(vocabulary)} | {START: n, END: n + 1}
+    codes = np.fromiter((index[tok] for seq in sequences for tok in (START, *seq, END)), np.int64)
+    codes = codes[np.diff(codes, prepend=-1) != 0]  # collapse adjacent repeats
+    prev, nxt = codes[:-1], codes[1:]
+    cells = prev * (n + 1) + np.minimum(nxt, n)
+    # An END code is never a context: its pair joins one sequence to the next.
+    return np.bincount(cells[prev != n + 1], minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
+
+
 @dataclass
 class BigramModel:
     vocabulary: tuple  # act tokens (incl. NONE); START/END are implicit
-    counts: dict  # (prev, next) -> count
-    row_totals: dict  # prev -> count
+    transitions: np.ndarray  # transition_matrix() of the training corpus
     smoothing: Smoothing
     training_sequences: int
+
+    def __post_init__(self):
+        n = len(self.vocabulary)
+        self._index = {tok: i for i, tok in enumerate(self.vocabulary)} | {START: n, END: n}
+        # probs gets one more row, never trained, for contexts outside the vocabulary.
+        counts = np.vstack([self.transitions, np.zeros(len(self.transitions))])
+        totals = counts.sum(axis=1, keepdims=True)
+        lam = self.smoothing.lam if self.smoothing.mode == "add_lambda" else 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # An MLE row never seen in training is 0/0: it allows no next-token.
+            self.probs = np.nan_to_num((counts + lam) / (totals + lam * counts.shape[1]))
+            self.log_probs = np.log(self.probs[:-1])
+
+    @property
+    def counts(self) -> dict:
+        """(prev, next) -> count of each transition seen in training."""
+        contexts, nexts = self.vocabulary + (START,), self.vocabulary + (END,)
+        return {(contexts[r], nexts[c]): int(self.transitions[r, c])
+                for r, c in zip(*np.nonzero(self.transitions))}
+
+    @property
+    def row_totals(self) -> dict:
+        """prev -> number of training transitions out of it."""
+        totals = self.transitions.sum(axis=1)
+        return {tok: int(t) for tok, t in zip(self.vocabulary + (START,), totals) if t}
 
     def probability(self, prev: str, nxt: str) -> float:
         """Transition probability p(next | prev).
 
         Legal contexts are vocabulary tokens and START; legal next-tokens
-        are vocabulary tokens and END.
+        are vocabulary tokens and END. Any other context is an unseen row.
         """
         if nxt == START or prev == END:
             raise ValueError("START is never a next-token and END never a context")
-        if nxt != END and nxt not in self._vocab_set:
-            if self.smoothing.mode == "mle":
-                raise ZeroProbabilityTransition(prev, nxt)
+        col = self._index.get(nxt)
+        if col is None and self.smoothing.mode != "mle":
             raise ValueError(f"token {nxt!r} outside model vocabulary")
-        count = self.counts.get((prev, nxt), 0)
-        total = self.row_totals.get(prev, 0)
-        if self.smoothing.mode == "mle":
-            if total == 0 or count == 0:
-                raise ZeroProbabilityTransition(prev, nxt)
-            return count / total
-        lam = self.smoothing.lam
-        n_next = len(self.vocabulary) + 1  # legal next-tokens: vocab + END
-        return (count + lam) / (total + lam * n_next)
-
-    @property
-    def _vocab_set(self):
-        return frozenset(self.vocabulary)
+        p = 0.0 if col is None else float(self.probs[self._index.get(prev, -1), col])
+        if p == 0.0:
+            raise ZeroProbabilityTransition(prev, nxt)
+        return p
 
 
 def fit_bigram(
@@ -120,27 +137,33 @@ def fit_bigram(
     sequences = _as_sequences(traces)
     if not sequences:
         raise EmptyCorpus("need at least one trace")
-    counts: Counter = Counter()
-    row_totals: Counter = Counter()
-    observed = set()
+    observed = set().union(*sequences)
+    vocab = tuple(sorted(observed) if vocabulary is None else vocabulary)
+    missing = observed - set(vocab)
+    if missing:
+        raise ValueError(f"training tokens outside vocabulary: {sorted(missing)}")
+    return BigramModel(vocab, transition_matrix(sequences, vocab), smoothing, len(sequences))
+
+
+def _raise_first_failure(model: BigramModel, sequences: list[list[str]]):
+    """Score transitions in order; the error names the first the model cannot score."""
     for prev, nxt in iter_transitions(sequences):
-        counts[(prev, nxt)] += 1
-        row_totals[prev] += 1
-        observed.update(t for t in (prev, nxt) if t not in (START, END))
-    if vocabulary is None:
-        vocab = tuple(sorted(observed))
-    else:
-        vocab = tuple(vocabulary)
-        missing = observed - set(vocab)
-        if missing:
-            raise ValueError(f"training tokens outside vocabulary: {sorted(missing)}")
-    return BigramModel(
-        vocabulary=vocab,
-        counts=dict(counts),
-        row_totals=dict(row_totals),
-        smoothing=smoothing,
-        training_sequences=len(sequences),
-    )
+        model.probability(prev, nxt)
+    raise AssertionError("count matrix and transition walk disagree")
+
+
+def _perplexities(models: list[BigramModel], counts: list[np.ndarray], sequences) -> np.ndarray:
+    """exp(-<E_j, log P_i> / sum(E_j)) over the cells E_j counts, for every model
+    i and count matrix j; the corpus ``sequences[j]`` is walked only on error."""
+    log_probs = np.stack([m.log_probs.ravel() for m in models])
+    totals = np.stack([c.ravel() for c in counts]).astype(float)
+    impossible = np.isneginf(log_probs)
+    unscorable = impossible.astype(float) @ (totals > 0).T
+    if unscorable.any():
+        i, j = np.argwhere(unscorable)[0]  # the first (model, corpus) in row-major order
+        _raise_first_failure(models[i], sequences[j])
+    nll = -(np.where(impossible, 0.0, log_probs) @ totals.T)
+    return np.exp(nll / totals.sum(axis=1))
 
 
 def perplexity(model: BigramModel, eval_traces) -> float:
@@ -150,12 +173,10 @@ def perplexity(model: BigramModel, eval_traces) -> float:
     sequences = _as_sequences(eval_traces)
     if not sequences:
         raise EmptyCorpus("evaluation corpus is empty")
-    total_nll = 0.0
-    n = 0
-    for prev, nxt in iter_transitions(sequences):
-        total_nll -= math.log(model.probability(prev, nxt))
-        n += 1
-    return math.exp(total_nll / n)
+    if not set().union(*sequences) <= set(model.vocabulary):
+        _raise_first_failure(model, sequences)
+    counts = transition_matrix(sequences, model.vocabulary)
+    return float(_perplexities([model], [counts], [sequences])[0, 0])
 
 
 @dataclass
@@ -195,29 +216,18 @@ def cross_perplexity_matrix(
     if not corpora:
         raise EmptyCorpus("need at least one corpus")
     names = list(corpora)
+    sequences = [_as_sequences(corpora[name]) for name in names]
     if vocabulary is None:
-        observed = set()
-        for traces in corpora.values():
-            for seq in _as_sequences(traces):
-                observed.update(seq)
-        vocabulary = sorted(observed)
-    models = {name: fit_bigram(corpora[name], smoothing, vocabulary) for name in names}
-    values = np.empty((len(names), len(names)))
-    for i, train in enumerate(names):
-        for j, eval_name in enumerate(names):
-            values[i, j] = perplexity(models[train], corpora[eval_name])
+        vocabulary = sorted(set().union(*(seq for corpus in sequences for seq in corpus)))
+    models = [fit_bigram(corpus, smoothing, vocabulary) for corpus in sequences]
+    values = _perplexities(models, [m.transitions for m in models], sequences)
     return PerplexityMatrix(row_labels=names, col_labels=list(names), values=values)
 
 
 def project_families(traces, ontology: Ontology) -> list[list[str]]:
     """Map act sequences to family-level token sequences (NONE kept)."""
-    sequences = []
-    for seq in _as_sequences(traces):
-        sequences.append([
-            tok if tok == NONE_ACT_ID else (ontology.get(tok).family or NONE_ACT_ID)
-            for tok in seq
-        ])
-    return sequences
+    return [[tok if tok == NONE_ACT_ID else (ontology.get(tok).family or NONE_ACT_ID)
+             for tok in seq] for seq in _as_sequences(traces)]
 
 
 # --- Interpretation content metrics ---
@@ -242,16 +252,11 @@ def interpretation_metrics(
     restrict the computation to acts from those families."""
 
     def counts(act_id):
-        if not is_eligible(ontology, act_id):
-            return False
-        return families is None or ontology.get(act_id).family in families
+        return is_eligible(ontology, act_id) and (
+            families is None or ontology.get(act_id).family in families)
 
-    coverage = {}
-    matched_per_answer = {}
-    eligible_per_answer = {}
-    dedication = {}
-    total_eligible = 0
-    total_unmatched = 0
+    coverage, matched_per_answer, eligible_per_answer, dedication = {}, {}, {}, {}
+    total_eligible = total_unmatched = 0
 
     for trace in traces:
         if trace.question_id not in spaces:
@@ -276,13 +281,8 @@ def interpretation_metrics(
                 dedication[(trace.answer_id, iid)] = count / len(eligible_steps)
 
     unmatched_rate = total_unmatched / total_eligible if total_eligible else 0.0
-    return InterpretationMetrics(
-        coverage=coverage,
-        unmatched_rate=unmatched_rate,
-        matched_per_answer=matched_per_answer,
-        eligible_per_answer=eligible_per_answer,
-        dedication=dedication,
-    )
+    return InterpretationMetrics(coverage, unmatched_rate, matched_per_answer,
+                                 eligible_per_answer, dedication)
 
 
 @dataclass
@@ -297,11 +297,8 @@ class OveranswerBin:
 def _addressed_sets(traces: list[DiscoTrace]) -> dict[str, list[set]]:
     by_question = defaultdict(list)
     for trace in traces:
-        by_question[trace.question_id].append({
-            step.interpretation_id
-            for step in trace.steps
-            if step.interpretation_id is not None
-        })
+        by_question[trace.question_id].append(
+            {step.interpretation_id for step in trace.steps} - {None})
     return by_question
 
 
@@ -399,11 +396,13 @@ def chi_squared_2x2(table) -> tuple[float, float]:
     Returns (statistic, p). When a row or column margin is zero the test
     is undefined; returns (0.0, 1.0).
     """
-    obs = np.asarray(table, dtype=float)
-    if obs.sum() == 0 or (obs.sum(axis=0) == 0).any() or (obs.sum(axis=1) == 0).any():
+    (a, b), (c, d) = np.asarray(table, dtype=float)
+    margins = (a + b, c + d, a + c, b + d)
+    if 0 in margins:
         return 0.0, 1.0
-    stat, p, _, _ = chi2_contingency(obs, correction=False)
-    return float(stat), float(p)
+    stat = (a + b + c + d) * (a * d - b * c) ** 2 / math.prod(margins)
+    # Survival function of chi-squared with one degree of freedom.
+    return float(stat), math.erfc(math.sqrt(stat / 2))
 
 
 def act_proportion_test(
@@ -418,10 +417,11 @@ def act_proportion_test(
         raise EmptyCorpus("both corpora must be non-empty")
     acts = ontology.act_ids(include_none=False)
     n_a, n_b = len(traces_a), len(traces_b)
+    answers_with_a = Counter(act for t in traces_a for act in set(t.act_sequence()))
+    answers_with_b = Counter(act for t in traces_b for act in set(t.act_sequence()))
     results = []
     for act_id in acts:
-        with_a = sum(act_id in t.act_sequence() for t in traces_a)
-        with_b = sum(act_id in t.act_sequence() for t in traces_b)
+        with_a, with_b = answers_with_a[act_id], answers_with_b[act_id]
         stat, p = chi_squared_2x2([[with_a, n_a - with_a], [with_b, n_b - with_b]])
         results.append(ActComparison(
             act_id=act_id,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -308,3 +312,14 @@ def test_help_lists_subcommands():
     for name in ("filter", "sample", "segment", "interp", "trace",
                  "model", "compare", "metrics", "mimic-answer"):
         assert name in result.output
+
+
+def test_cli_import_loads_no_scipy():
+    # Every subcommand pays the CLI's import time; scipy alone cost about 1 s.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", "import discotrace.cli, sys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"

@@ -66,14 +66,14 @@ def test_backend_spec_validation():
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    responses = []  # list of (status, payload) consumed per request
+    responses = []  # list of (status, payload) consumed per request; bytes go out raw
     seen = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         _StubHandler.seen.append(json.loads(self.rfile.read(length)))
         status, payload = _StubHandler.responses.pop(0)
-        body = json.dumps(payload).encode()
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -93,6 +93,7 @@ def stub_server():
     _StubHandler.seen = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def _chat_payload(text):
@@ -125,6 +126,19 @@ def test_live_exhausted_retries(stub_server, monkeypatch):
     backend = BackendSpec(kind="live", endpoint=stub_server, retry_limit=2)
     with pytest.raises(TransportError):
         complete(backend, make_request())
+
+
+def test_live_non_json_reply_is_retried(stub_server, monkeypatch):
+    monkeypatch.setattr("discotrace.gateway.time.sleep", lambda s: None)
+    _StubHandler.responses = [(200, b"<html>bad gateway</html>"), (200, _chat_payload("ok"))]
+    backend = BackendSpec(kind="live", endpoint=stub_server, retry_limit=2)
+    assert complete(backend, make_request()) == "ok"
+    assert len(_StubHandler.seen) == 2
+
+    _StubHandler.responses = [(200, b"not json")] * 3
+    with pytest.raises(TransportError, match="not JSON"):
+        complete(backend, make_request())
+    assert len(_StubHandler.seen) == 5
 
 
 def test_live_auth_error(stub_server):

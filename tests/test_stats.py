@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -187,6 +189,96 @@ def test_matrix_serialization(tmp_path):
     with long.open("w", newline="") as handle:
         mat.write_long_csv(handle)
     assert len(long.read_text().strip().splitlines()) == 5  # header + 4 cells
+
+
+def walk_transitions(seq):
+    tokens = [START] + [tok for tok, _ in groupby(seq)] + [END]
+    return list(zip(tokens, tokens[1:]))
+
+
+def walk_perplexity(train, evaluate, smoothing, vocab):
+    """Reference: score the evaluation corpus one transition at a time."""
+    counts, totals = Counter(), Counter()
+    for seq in train:
+        for prev, nxt in walk_transitions(seq):
+            counts[prev, nxt] += 1
+            totals[prev] += 1
+    nll, n = 0.0, 0
+    for seq in evaluate:
+        for prev, nxt in walk_transitions(seq):
+            if smoothing.mode == "mle":
+                if counts[prev, nxt] == 0:
+                    raise ZeroProbabilityTransition(prev, nxt)
+                p = counts[prev, nxt] / totals[prev]
+            else:
+                lam = smoothing.lam
+                p = (counts[prev, nxt] + lam) / (totals[prev] + lam * (len(vocab) + 1))
+            nll -= math.log(p)
+            n += 1
+    return math.exp(nll / n)
+
+
+corpus_strategy = st.lists(
+    st.lists(st.sampled_from(["A", "B", "C", "D"]), min_size=1, max_size=8),
+    min_size=1, max_size=6)
+
+
+@given(st.lists(corpus_strategy, min_size=1, max_size=4),
+       st.floats(min_value=0.01, max_value=5.0),
+       st.sampled_from([None, ["A", "B", "C", "D"], ["D", "C", "B", "A", "E", "F"]]))
+@settings(max_examples=80, deadline=None)
+def test_cross_perplexity_matches_transition_walk(corpora, lam, vocabulary):
+    named = {f"c{i}": corpus for i, corpus in enumerate(corpora)}
+    vocab = vocabulary or sorted({tok for c in corpora for seq in c for tok in seq})
+    smoothing = Smoothing(mode="add_lambda", lam=lam)
+    mat = cross_perplexity_matrix(named, smoothing, vocabulary=vocabulary)
+    for i, train in enumerate(corpora):
+        for j, evaluate in enumerate(corpora):
+            expected = walk_perplexity(train, evaluate, smoothing, vocab)
+            assert mat.values[i, j] == pytest.approx(expected, rel=1e-12)
+
+
+@given(st.lists(corpus_strategy, min_size=1, max_size=4),
+       st.sampled_from([None, ["A", "B", "C", "D", "E"]]))
+@settings(max_examples=80, deadline=None)
+def test_mle_cross_perplexity_names_first_zero_transition(corpora, vocabulary):
+    named = {f"c{i}": corpus for i, corpus in enumerate(corpora)}
+    try:
+        expected = [[walk_perplexity(train, evaluate, MLE, vocabulary) for evaluate in corpora]
+                    for train in corpora]
+    except ZeroProbabilityTransition as walk_error:
+        with pytest.raises(ZeroProbabilityTransition) as raised:
+            cross_perplexity_matrix(named, MLE, vocabulary=vocabulary)
+        assert (raised.value.prev, raised.value.next) == (walk_error.prev, walk_error.next)
+    else:
+        mat = cross_perplexity_matrix(named, MLE, vocabulary=vocabulary)
+        np.testing.assert_allclose(mat.values, expected, rtol=1e-12)
+
+
+def test_perplexity_unknown_eval_tokens():
+    mle = fit_bigram([["A", "B"]], smoothing=MLE)
+    for corpus, first in (([["A", "B", "A", "C"]], ("B", "A")), ([["A", "C", "B"]], ("A", "C"))):
+        with pytest.raises(ZeroProbabilityTransition) as raised:
+            perplexity(mle, corpus)
+        assert (raised.value.prev, raised.value.next) == first
+    smoothed = fit_bigram([["A", "B"]], smoothing=Smoothing())
+    with pytest.raises(ValueError, match="'C' outside model vocabulary"):
+        perplexity(smoothed, [["B", "A", "C"]])
+    # A context outside the vocabulary is an unseen row.
+    assert smoothed.probability("C", "A") == pytest.approx(1 / 3)
+    with pytest.raises(ZeroProbabilityTransition):
+        mle.probability("C", "A")
+
+
+def test_training_tokens_outside_vocabulary():
+    with pytest.raises(ValueError, match=r"\['C'\]"):
+        fit_bigram([["A", "C"]], vocabulary=["A", "B"])
+
+
+def test_model_counts_view():
+    model = fit_bigram([["A", "B"], ["A", "A"]], smoothing=MLE, vocabulary=["A", "B", "C"])
+    assert model.counts == {(START, "A"): 2, ("A", "B"): 1, ("A", END): 1, ("B", END): 1}
+    assert model.row_totals == {START: 2, "A": 2, "B": 1}
 
 
 def test_project_families():
@@ -416,6 +508,7 @@ def test_chi_squared_known_table():
     chi2, p = chi_squared_2x2([[30, 20], [10, 40]])
     assert chi2 == pytest.approx(16.6667, abs=0.05)
     assert p < 1e-4
+    assert p == pytest.approx(4.455709060405612e-05, rel=1e-12)
 
 
 def test_chi_squared_zero_margin():
