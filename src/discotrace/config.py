@@ -24,25 +24,17 @@ class PipelineConfig:
     boundary: BoundaryConfig = field(default_factory=BoundaryConfig)
     smoothing: Smoothing = field(default_factory=Smoothing)
     dedup_threshold: float = DEFAULT_DEDUP_THRESHOLD
-    max_in_flight: int = 4
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: Optional[Path] = None) -> "PipelineConfig":
-        def backend(key):
-            spec = doc.get(key)
-            if spec is None:
-                return None
+        def spec_of(spec):
             spec = dict(spec)
             if spec.get("fixture_path") and base_dir is not None:
                 spec["fixture_path"] = str((base_dir / spec["fixture_path"]).resolve())
             return BackendSpec.from_dict(spec)
 
-        generators = []
-        for spec in doc.get("interp_generators", []):
-            spec = dict(spec)
-            if spec.get("fixture_path") and base_dir is not None:
-                spec["fixture_path"] = str((base_dir / spec["fixture_path"]).resolve())
-            generators.append(BackendSpec.from_dict(spec))
+        def backend(key):
+            return None if doc.get(key) is None else spec_of(doc[key])
 
         ontology_path = doc.get("ontology_path")
         if ontology_path is not None:
@@ -58,7 +50,7 @@ class PipelineConfig:
 
         return cls(
             act_labeler=backend("act_labeler"),
-            interp_generators=generators,
+            interp_generators=[spec_of(spec) for spec in doc.get("interp_generators", [])],
             interp_labeler=backend("interp_labeler"),
             embedder=backend("embedder"),
             answer_generator=backend("answer_generator"),
@@ -69,7 +61,6 @@ class PipelineConfig:
                 lam=float(smoothing_doc.get("lambda", 1.0)),
             ),
             dedup_threshold=threshold,
-            max_in_flight=int(doc.get("max_in_flight", 4)),
         )
 
     @classmethod

@@ -16,7 +16,6 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import requests
@@ -82,24 +81,24 @@ def text_digest(model: str, text: str) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-_fixture_cache: dict[str, dict[str, str]] = {}
+_fixture_cache: dict[str, tuple[float, dict[str, str]]] = {}
 
 
 def load_fixture(path: str) -> dict[str, str]:
-    """Load (and cache) a fixture file mapping digest -> response text."""
-    resolved = str(Path(path).resolve())
-    mtime = os.path.getmtime(resolved)
-    cached = _fixture_cache.get(resolved)
-    if cached is not None and cached.get("_mtime") == mtime:
-        return cached["entries"]
+    """Load (and cache by the path as given, until its mtime changes) a
+    fixture file mapping digest -> response text."""
+    mtime = os.path.getmtime(path)
+    cached = _fixture_cache.get(path)
+    if cached is not None and cached[0] == mtime:
+        return cached[1]
     entries = {}
-    with open(resolved, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle:
         for line in handle:
             if not line.strip():
                 continue
             record = json.loads(line)
             entries[record["request_digest"]] = record["response_text"]
-    _fixture_cache[resolved] = {"_mtime": mtime, "entries": entries}
+    _fixture_cache[path] = (mtime, entries)
     return entries
 
 
@@ -110,7 +109,7 @@ def append_fixture(path: str, digest: str, response_text: str) -> None:
             {"request_digest": digest, "response_text": response_text},
             ensure_ascii=False,
         ) + "\n")
-    _fixture_cache.pop(str(Path(path).resolve()), None)
+    _fixture_cache.pop(str(path), None)
 
 
 def _auth_headers(backend: BackendSpec) -> dict[str, str]:

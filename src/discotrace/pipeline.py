@@ -6,6 +6,8 @@ split an action segment at EDU granularity; contiguous equal labels are
 merged so no two adjacent tagged segments share an act. Per-segment
 failures degrade to NONE with a diagnostic rather than aborting the
 answer (a mock fixture miss is a configuration error and still raises).
+The gateway retries transport failures; this module re-asks only when a
+reply cannot be parsed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Optional
 
 from . import gateway
 from .errors import (
-    FixtureMiss,
     TransportError,
     UnknownInterpretationId,
     UnparsableResponse,
@@ -95,6 +96,23 @@ class DiscoTrace:
         )
 
 
+def _ask(backend: BackendSpec, request, parse):
+    """Complete and parse one request; returns (parsed, None) or (None, (kind, error)).
+
+    The gateway has already spent ``retry_limit`` retries on a transport
+    failure, so that degrades at once; only a reply that fails to parse is
+    asked again, up to ``retry_limit`` times.
+    """
+    for _ in range(backend.retry_limit + 1):
+        try:
+            return parse(gateway.complete(backend, request)), None
+        except _PARSE_ERRORS as exc:
+            failure = ("parse", exc)
+        except TransportError as exc:
+            return None, ("transport", exc)
+    return None, failure
+
+
 def _segment_text(edu_texts: list[str], indices) -> str:
     return " ".join(edu_texts[i] for i in indices)
 
@@ -126,21 +144,14 @@ def tag_answer(
             ontology=ontology,
             model_name=backend.model,
         )
-        assignments = None
-        for attempt in range(backend.retry_limit + 1):
-            try:
-                raw = gateway.complete(backend, request)
-                assignments = parse_act_response(raw, ontology, len(subsegments))
-                break
-            except FixtureMiss:
-                raise
-            except _PARSE_ERRORS as exc:
-                failure = f"parse failure on segment {segment.edu_indices}: {exc}"
-            except TransportError as exc:
-                failure = f"transport failure on segment {segment.edu_indices}: {exc}"
-        if assignments is None:
+        assignments, failure = _ask(
+            backend, request, lambda raw: parse_act_response(raw, ontology, len(subsegments))
+        )
+        if failure is not None:
+            kind, exc = failure
             diagnostics.append(
-                f"{failure} after {backend.retry_limit + 1} attempts; assigned NONE "
+                f"{kind} failure on segment {segment.edu_indices}: {exc} after "
+                f"{backend.retry_limit + 1} attempts; assigned NONE "
                 f"(request digest {gateway.request_digest(request)})"
             )
             assignments = []
@@ -198,8 +209,8 @@ def pair_interpretations(
     """Attach interpretation ids to eligible tagged segments.
 
     Ineligible acts and empty spaces skip the labeler call entirely.
-    Unknown ids and exhausted transport retries degrade to no
-    interpretation, with a diagnostic.
+    Unknown ids, transport failures and replies that never parse degrade
+    to no interpretation, with a diagnostic.
     """
     trace = DiscoTrace(
         answer_id=answer_id,
@@ -225,24 +236,20 @@ def pair_interpretations(
                 act_label=ontology.get(segment.act_id).display_name,
                 model_name=backend.model,
             )
-            for attempt in range(backend.retry_limit + 1):
-                try:
-                    raw = gateway.complete(backend, request)
-                    interpretation_id = parse_interp_label(raw, known_ids)
-                    break
-                except FixtureMiss:
-                    raise
-                except UnknownInterpretationId as exc:
-                    trace.diagnostics.append(
-                        f"segment {segment.edu_indices}: {exc}; treated as NONE"
-                    )
-                    break
-                except (UnparsableResponse, TransportError) as exc:
-                    failure = f"segment {segment.edu_indices}: {exc}"
-            else:
-                trace.diagnostics.append(
-                    f"{failure} after {backend.retry_limit + 1} attempts; treated as NONE"
+            try:
+                interpretation_id, failure = _ask(
+                    backend, request, lambda raw: parse_interp_label(raw, known_ids)
                 )
+            except UnknownInterpretationId as exc:
+                trace.diagnostics.append(
+                    f"segment {segment.edu_indices}: {exc}; treated as NONE"
+                )
+            else:
+                if failure is not None:
+                    trace.diagnostics.append(
+                        f"segment {segment.edu_indices}: {failure[1]} after "
+                        f"{backend.retry_limit + 1} attempts; treated as NONE"
+                    )
         trace.steps.append(TraceStep(
             act_id=segment.act_id,
             edu_indices=segment.edu_indices,

@@ -1,7 +1,12 @@
 """Shared fixtures and builders for the test suite."""
 
+import contextlib
 import json
 import random
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 
@@ -72,3 +77,47 @@ def write_jsonl(path, records):
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+@contextlib.contextmanager
+def http_stub(respond, delay_s=0.0):
+    """Serve POSTs on a loopback port, one thread per request.
+
+    ``respond(body)`` returns ``(status, payload)``; each reply is held back
+    ``delay_s``. Yields ``(endpoint, stats)``: ``stats.posts`` counts the
+    requests and ``stats.max_in_flight`` is the most served at once.
+    """
+    stats = SimpleNamespace(posts=0, in_flight=0, max_in_flight=0)
+    lock = threading.Lock()
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            with lock:
+                stats.posts += 1
+                stats.in_flight += 1
+                stats.max_in_flight = max(stats.max_in_flight, stats.in_flight)
+            time.sleep(delay_s)
+            status, payload = respond(body)
+            # Leave the count before replying: the client's next request
+            # cannot arrive before this reply, so it never overlaps this one.
+            with lock:
+                stats.in_flight -= 1
+            data = json.dumps(payload).encode()
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}", stats
+    finally:
+        server.shutdown()
+        server.server_close()

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from discotrace import (
@@ -18,7 +19,7 @@ from discotrace.cli import main
 from discotrace.interpretations import Interpretation, InterpretationSpace
 from discotrace.pipeline import DiscoTrace, TraceStep
 
-from conftest import record_fixture_by_replay, write_jsonl
+from conftest import http_stub, record_fixture_by_replay, write_jsonl
 
 
 def invoke(*args):
@@ -87,10 +88,38 @@ def test_segment_command(tmp_path):
     assert [s["text"] for s in rec["segments"]] == ["Cats nap.", "Dogs run."]
 
 
-def test_missing_input_file_exit_1(tmp_path):
-    result = invoke("segment", "--in", str(tmp_path / "nope.jsonl"),
-                    "--out", str(tmp_path / "o.jsonl"))
-    assert result.exit_code == 1
+# Arguments each subcommand needs besides its input, named by file.
+_REQUIRED_ARGS = {
+    "filter": [],
+    "sample": ["--n", "1"],
+    "segment": [],
+    "interp": ["--config", "config.json"],
+    "trace": ["--questions", "questions.jsonl", "--config", "config.json"],
+    "model": [],
+    "compare": [],
+    "metrics": ["--spaces", "spaces.jsonl"],
+    "mimic-answer": ["--config", "config.json", "--subreddit", "s",
+                     "--explanation", "e", "--guidelines-file", "rules.md"],
+}
+
+
+@pytest.mark.parametrize("command", list(_REQUIRED_ARGS))
+def test_missing_input_file_exit_1(tmp_path, command):
+    mock = {"kind": "mock", "fixture_path": "fixture.jsonl"}
+    (tmp_path / "config.json").write_text(json.dumps({
+        "act_labeler": mock, "interp_generators": [mock], "embedder": mock,
+        "answer_generator": mock,
+    }))
+    for name in ("fixture.jsonl", "questions.jsonl", "spaces.jsonl", "rules.md"):
+        (tmp_path / name).touch()
+    missing = str(tmp_path / "nope.jsonl")
+    source = ["--corpora", missing] if command == "compare" else ["--in", missing]
+    extra = [str(tmp_path / arg) if arg.endswith((".json", ".jsonl", ".md")) else arg
+             for arg in _REQUIRED_ARGS[command]]
+    result = invoke(command, *source, "--out", str(tmp_path / "o.jsonl"), *extra)
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("error:")
+    assert "nope.jsonl" in result.stderr
 
 
 def make_trace_inputs(tmp_path):
@@ -176,6 +205,31 @@ def test_trace_command_fixture_miss_exit_2(tmp_path):
     result = invoke("trace", "--in", str(answers), "--questions", str(questions),
                     "--out", str(out), "--config", str(config_path))
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("act_limit, interp_limit", [(1, 1), (4, 1)])
+def test_trace_command_keeps_backend_max_in_flight(tmp_path, act_limit, interp_limit):
+    questions = tmp_path / "questions.jsonl"
+    write_jsonl(questions, [{"post_id": "q1", "title": "Why is the sky blue?"}])
+    answers = tmp_path / "answers.jsonl"
+    write_jsonl(answers, [
+        {"answer_id": f"a{i}", "question_id": "q1", "text": f"Answer {i}.",
+         "rst_tree": {"edu": f"Answer {i}."}}
+        for i in range(6)
+    ])
+    reply = {"choices": [{"message": {"content": '[{"action_id": "action_AQ_assert_answer"}]'}}]}
+    with http_stub(lambda body: (200, reply), delay_s=0.02) as (endpoint, stats):
+        live = {"kind": "live", "endpoint": endpoint, "model": "m", "retry_limit": 0}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "act_labeler": {**live, "name": "act", "max_in_flight": act_limit},
+            "interp_labeler": {**live, "name": "interp", "max_in_flight": interp_limit},
+        }))
+        result = invoke("trace", "--in", str(answers), "--questions", str(questions),
+                        "--out", str(tmp_path / "traces.jsonl"), "--config", str(config_path))
+    assert result.exit_code == 0, result.output
+    assert stats.posts == 6
+    assert stats.max_in_flight == 1
 
 
 def test_model_command(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -14,7 +15,7 @@ from discotrace.gateway import append_fixture, request_digest
 from discotrace.interpretations import Interpretation, InterpretationSpace
 from discotrace.pipeline import TaggedSegment
 
-from conftest import leaf, node, record_fixture_by_replay
+from conftest import http_stub, leaf, node, record_fixture_by_replay
 
 
 def mock_backend(tmp_path, name="tagger", retry_limit=1):
@@ -258,3 +259,42 @@ def test_replay_is_deterministic(tmp_path):
     (first, _), tree, segments, backend, answer = run_tagging(tmp_path, doc, responder)
     second, _ = tag_answer("Q?", answer, segments, tree, load_ont(), backend)
     assert first == second
+
+
+def test_outage_tagging_posts_retry_limit_plus_one_per_segment(tmp_path, monkeypatch):
+    # The gateway owns transport retries; the pipeline does not retry them again.
+    monkeypatch.setattr("discotrace.gateway.time.sleep", lambda s: None)
+    tree = parse_rst_tree(node("Contrast", "NN", leaf("first part"), leaf("second part")))
+    segments = segment_answer(tree, BoundaryConfig())
+    assert len(segments) == 2
+    with http_stub(lambda body: (503, {})) as (endpoint, stats):
+        backend = BackendSpec(kind="live", endpoint=endpoint, retry_limit=3)
+        tagged, diagnostics = tag_answer(
+            "Q?", "first part second part", segments, tree, load_ont(), backend)
+    assert stats.posts == 2 * 4
+    assert [t.act_id for t in tagged] == ["NONE"]
+    assert len(diagnostics) == 2
+    for index, diagnostic in enumerate(diagnostics):
+        assert re.fullmatch(
+            rf"transport failure on segment \({index},\): exhausted 3 retries: "
+            r"backend returned 503 after 4 attempts; assigned NONE "
+            r"\(request digest [0-9a-f]{64}\)",
+            diagnostic,
+        ), diagnostic
+
+
+def test_outage_pairing_posts_retry_limit_plus_one(tmp_path, monkeypatch):
+    monkeypatch.setattr("discotrace.gateway.time.sleep", lambda s: None)
+    tagged = [TaggedSegment(edu_indices=(0,), act_id="action_AQ_assert_answer")]
+    with http_stub(lambda body: (503, {})) as (endpoint, stats):
+        backend = BackendSpec(kind="live", endpoint=endpoint, retry_limit=3)
+        trace = pair_interpretations(
+            "Q?", make_space(), tagged, "answer", load_ont(), backend,
+            answer_id="a1", question_id="q1",
+        )
+    assert stats.posts == 4
+    assert trace.steps[0].interpretation_id is None
+    assert trace.diagnostics == [
+        "segment (0,): exhausted 3 retries: backend returned 503 after 4 attempts; "
+        "treated as NONE"
+    ]
