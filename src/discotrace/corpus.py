@@ -244,7 +244,9 @@ def read_corpus(path) -> list[dict]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
+                # The decoder recurses per nesting level, so a deep enough
+                # document raises RecursionError rather than a decode error.
                 raise MalformedLine(number, str(exc)) from exc
             version = record.get("schema_version", SCHEMA_VERSION)
             if version != SCHEMA_VERSION:

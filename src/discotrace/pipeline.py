@@ -97,19 +97,21 @@ class DiscoTrace:
 
 
 def _ask(backend: BackendSpec, request, parse):
-    """Complete and parse one request; returns (parsed, None) or (None, (kind, error)).
+    """Complete and parse one request; returns (parsed, None) or (None, (kind, message)).
 
     The gateway has already spent ``retry_limit`` retries on a transport
     failure, so that degrades at once; only a reply that fails to parse is
-    asked again, up to ``retry_limit`` times.
+    asked again, up to ``retry_limit`` times. A failure keeps only its
+    message: the exception's traceback reaches back to the caller's frames,
+    so holding it would keep the whole answer in a reference cycle.
     """
     for _ in range(backend.retry_limit + 1):
         try:
             return parse(gateway.complete(backend, request)), None
         except _PARSE_ERRORS as exc:
-            failure = ("parse", exc)
+            failure = ("parse", str(exc))
         except TransportError as exc:
-            return None, ("transport", exc)
+            return None, ("transport", str(exc))
     return None, failure
 
 
@@ -148,9 +150,9 @@ def tag_answer(
             backend, request, lambda raw: parse_act_response(raw, ontology, len(subsegments))
         )
         if failure is not None:
-            kind, exc = failure
+            kind, message = failure
             diagnostics.append(
-                f"{kind} failure on segment {segment.edu_indices}: {exc} after "
+                f"{kind} failure on segment {segment.edu_indices}: {message} after "
                 f"{backend.retry_limit + 1} attempts; assigned NONE "
                 f"(request digest {gateway.request_digest(request)})"
             )

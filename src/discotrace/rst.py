@@ -9,7 +9,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 from .errors import (
@@ -55,13 +55,21 @@ class RstNode:
 
 @dataclass(frozen=True)
 class RstTree:
-    """A validated binary discourse tree for one answer."""
+    """A validated binary discourse tree for one answer.
+
+    ``edus`` holds the leaves in order, numbered 0..n-1 while parsing, so
+    reading them never walks the tree again.
+    """
 
     root: RstNode
-    edu_count: int
+    edus: tuple[Edu, ...] = field(repr=False, compare=False)
+
+    @property
+    def edu_count(self) -> int:
+        return len(self.edus)
 
     def leaves(self) -> list[Edu]:
-        return get_leaves(self.root)
+        return list(self.edus)
 
 
 def normalize_relation(label: str) -> str:
@@ -69,17 +77,24 @@ def normalize_relation(label: str) -> str:
     return "-".join(part.capitalize() for part in label.split("-"))
 
 
+def _preorder(node: RstNode) -> Iterator[RstNode]:
+    """Yield a subtree's nodes parent first, left before right, without recursion."""
+    pending = [node]
+    while pending:
+        node = pending.pop()
+        yield node
+        if not node.is_leaf:
+            pending.append(node.right)
+            pending.append(node.left)
+
+
 def get_leaves(node: RstNode) -> list[Edu]:
     """Return the in-order EDU sequence of a subtree."""
-    if node.is_leaf:
-        return [node.edu]
-    return get_leaves(node.left) + get_leaves(node.right)
+    return [n.edu for n in _preorder(node) if n.is_leaf]
 
 
 def leaf_count(node: RstNode) -> int:
-    if node.is_leaf:
-        return 1
-    return leaf_count(node.left) + leaf_count(node.right)
+    return sum(1 for n in _preorder(node) if n.is_leaf)
 
 
 def parse_rst_tree(serialized: Union[str, dict]) -> RstTree:
@@ -87,60 +102,71 @@ def parse_rst_tree(serialized: Union[str, dict]) -> RstTree:
 
     Accepts either a JSON string or an already-decoded dict. Leaf order
     preserves document order; EDU indices are assigned 0..n-1 left to
-    right. EDU text is stored verbatim.
+    right. EDU text is stored verbatim. Nodes are validated in document
+    order, so the first invalid one names the error. A dict of any depth
+    parses; JSON text nested too deep for the decoder is malformed.
     """
     if isinstance(serialized, str):
         try:
             doc = json.loads(serialized)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise MalformedDocument(f"invalid JSON: {exc}") from exc
     else:
         doc = serialized
     if not isinstance(doc, dict):
         raise MalformedDocument("tree document must be a JSON object")
 
-    counter = iter(range(10**9))
-    root = _parse_node(doc, counter)
-    return RstTree(root=root, edu_count=leaf_count(root))
+    edus: list[Edu] = []
+    order = []  # validated nodes, parent first: an Edu or a (relation, nuclearity) pair
+    pending = [doc]
+    while pending:
+        doc = pending.pop()
+        if not isinstance(doc, dict):
+            raise MalformedDocument(f"node must be an object, got {type(doc).__name__}")
+        if "edu" in doc:
+            text = doc["edu"]
+            if not isinstance(text, str) or not text.strip():
+                raise MalformedDocument("leaf 'edu' must be a non-empty string")
+            edus.append(Edu(index=len(edus), text=text))
+            order.append(edus[-1])
+            continue
 
+        if "relation" not in doc or "nuclearity" not in doc:
+            raise MalformedDocument("internal node requires 'relation' and 'nuclearity'")
+        if "left" not in doc or "right" not in doc:
+            raise NonBinaryNode("internal node requires exactly 'left' and 'right' children")
 
-def _parse_node(doc: dict, counter: Iterator[int]) -> RstNode:
-    if not isinstance(doc, dict):
-        raise MalformedDocument(f"node must be an object, got {type(doc).__name__}")
-    if "edu" in doc:
-        text = doc["edu"]
-        if not isinstance(text, str) or not text.strip():
-            raise MalformedDocument("leaf 'edu' must be a non-empty string")
-        return RstNode(edu=Edu(index=next(counter), text=text))
+        relation = normalize_relation(str(doc["relation"]))
+        if relation not in RELATIONS:
+            raise UnknownRelation(f"unknown relation {doc['relation']!r}")
+        nuclearity = str(doc["nuclearity"]).upper()
+        if nuclearity not in NUCLEARITIES:
+            raise UnknownNuclearity(f"unknown nuclearity {doc['nuclearity']!r}")
+        order.append((relation, nuclearity))
+        pending.append(doc["right"])
+        pending.append(doc["left"])
 
-    if "relation" not in doc or "nuclearity" not in doc:
-        raise MalformedDocument("internal node requires 'relation' and 'nuclearity'")
-    if "left" not in doc or "right" not in doc:
-        raise NonBinaryNode("internal node requires exactly 'left' and 'right' children")
-
-    relation = normalize_relation(str(doc["relation"]))
-    if relation not in RELATIONS:
-        raise UnknownRelation(f"unknown relation {doc['relation']!r}")
-    nuclearity = str(doc["nuclearity"]).upper()
-    if nuclearity not in NUCLEARITIES:
-        raise UnknownNuclearity(f"unknown nuclearity {doc['nuclearity']!r}")
-
-    left = _parse_node(doc["left"], counter)
-    right = _parse_node(doc["right"], counter)
-    return RstNode(relation=relation, nuclearity=nuclearity, left=left, right=right)
+    # Backwards through a parent-first list, every node's children are
+    # already built: the left one on top of the stack, the right one under it.
+    built = []
+    for item in reversed(order):
+        if isinstance(item, Edu):
+            built.append(RstNode(edu=item))
+        else:
+            left = built.pop()
+            built.append(RstNode(relation=item[0], nuclearity=item[1],
+                                 left=left, right=built.pop()))
+    return RstTree(root=built[0], edus=tuple(edus))
 
 
 def serialize_rst_tree(tree: RstTree) -> dict:
     """Inverse of :func:`parse_rst_tree` (structure round-trips exactly)."""
-    return _serialize_node(tree.root)
-
-
-def _serialize_node(node: RstNode) -> dict:
-    if node.is_leaf:
-        return {"edu": node.edu.text}
-    return {
-        "relation": node.relation,
-        "nuclearity": node.nuclearity,
-        "left": _serialize_node(node.left),
-        "right": _serialize_node(node.right),
-    }
+    built = []  # built bottom-up as in parse_rst_tree
+    for node in reversed(list(_preorder(tree.root))):
+        if node.is_leaf:
+            built.append({"edu": node.edu.text})
+        else:
+            left = built.pop()
+            built.append({"relation": node.relation, "nuclearity": node.nuclearity,
+                          "left": left, "right": built.pop()})
+    return built[0]

@@ -1,10 +1,16 @@
-"""Recursive splitting of a discourse tree into coarse action segments.
+"""Splitting of a discourse tree into coarse action segments.
 
 A configured set of (relation, nuclearity) boundary pairs marks nodes
 whose children likely realize different discourse acts. Splits are made
 at boundary nodes and preserved from deeper in the tree; everything else
 collapses to a single span. Background additionally requires both sides
 to carry at least ``min_span_k`` EDUs before splitting.
+
+The tree is walked once, children before parents, with an explicit stack.
+A subtree covers one contiguous range of leaf positions, so each span is
+kept as the position where it starts: a collapse drops the starts of all
+but the subtree's first span. EDU lists are sliced out once, at the end.
+That is linear in the number of EDUs and unbounded in depth.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .rst import Edu, RstNode, RstTree, get_leaves
+from .rst import Edu, RstNode, RstTree
 
 #: Default boundary (relation, nuclearity) pairs.
 DEFAULT_BOUNDARY_PAIRS = frozenset({
@@ -73,24 +79,35 @@ def get_spans(node: RstNode, config: BoundaryConfig) -> list[list[Edu]]:
     the combined span count exceeds two; otherwise the subtree collapses
     to a single span (discarding any internal splits).
     """
-    if node.is_leaf:
-        return [[node.edu]]
-    left = get_spans(node.left, config)
-    right = get_spans(node.right, config)
-    if is_boundary(node.relation, node.nuclearity, config):
-        k = config.min_span_k
-        if node.relation != "Background" or (
-            _edu_count(left) >= k and _edu_count(right) >= k
-        ):
-            return left + right
-        return [get_leaves(node)]
-    if len(left) + len(right) > 2:
-        return left + right
-    return [get_leaves(node)]
-
-
-def _edu_count(spans: list[list[Edu]]) -> int:
-    return sum(len(span) for span in spans)
+    leaves: list[Edu] = []
+    starts: list[int] = []  # leaf position where each span so far starts
+    firsts: list[int] = []  # per finished subtree: index in starts of its first span
+    pending = [(node, False)]
+    while pending:
+        current, children_done = pending.pop()
+        if current.is_leaf:
+            firsts.append(len(starts))
+            starts.append(len(leaves))
+            leaves.append(current.edu)
+        elif not children_done:
+            pending.append((current, True))
+            pending.append((current.right, False))
+            pending.append((current.left, False))
+        else:
+            # The right subtree finished last, so its spans and leaves end
+            # both lists; the left subtree's first span is this node's first.
+            right_first = firsts.pop()
+            first = firsts[-1]
+            lo, mid, hi = starts[first], starts[right_first], len(leaves)
+            if is_boundary(current.relation, current.nuclearity, config):
+                k = config.min_span_k
+                keep = current.relation != "Background" or (mid - lo >= k and hi - mid >= k)
+            else:
+                keep = len(starts) - first > 2
+            if not keep:
+                del starts[first + 1:]
+    starts.append(len(leaves))
+    return [leaves[lo:hi] for lo, hi in zip(starts, starts[1:])]
 
 
 def segment_answer(

@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import strategies as st
 
 from discotrace import load_ontology
 from discotrace.errors import FixtureMiss
@@ -50,6 +51,30 @@ def random_tree(rng, max_edus=20):
         )
 
     return build(0, n)
+
+
+@st.composite
+def tree_docs(draw, max_edus=40):
+    """Hypothesis strategy: random_tree's shapes and labels, drawn so they shrink."""
+    n = draw(st.integers(1, max_edus))
+
+    def build(lo, hi):
+        if hi - lo == 1:
+            return leaf(f"edu {lo}")
+        split = draw(st.integers(lo + 1, hi - 1))
+        relation = draw(st.sampled_from(sorted(RELATIONS)))
+        nuclearity = draw(st.sampled_from(sorted(NUCLEARITIES)))
+        return node(relation, nuclearity, build(lo, split), build(split, hi))
+
+    return build(0, n)
+
+
+def deep_tree_json(depth):
+    """JSON text of a left-skewed tree ``depth`` nodes deep, written without
+    ``json.dumps``, which recurses per level like the decoder."""
+    opening = '{"relation": "Elaboration", "nuclearity": "NS", "left": '
+    closing = ', "right": {"edu": "tail"}}'
+    return opening * (depth - 1) + '{"edu": "head"}' + closing * (depth - 1)
 
 
 @pytest.fixture(scope="session")

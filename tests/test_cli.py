@@ -19,7 +19,7 @@ from discotrace.cli import main
 from discotrace.interpretations import Interpretation, InterpretationSpace
 from discotrace.pipeline import DiscoTrace, TraceStep
 
-from conftest import http_stub, record_fixture_by_replay, write_jsonl
+from conftest import deep_tree_json, http_stub, record_fixture_by_replay, write_jsonl
 
 
 def invoke(*args):
@@ -196,6 +196,21 @@ def test_trace_command_end_to_end(tmp_path):
                     "--config", str(config_path))
     assert result.exit_code == 0
     assert out.read_text() == out2.read_text()
+
+
+@pytest.mark.parametrize("command", ["segment", "trace"])
+def test_too_deep_tree_line_exit_1(tmp_path, command):
+    questions, answers, spaces_path, _, config_path, _ = make_trace_inputs(tmp_path)
+    deep = ('{"answer_id": "a2", "question_id": "q1", "text": "t", "rst_tree": '
+            + deep_tree_json(1500) + '}\n')
+    with open(answers, "a", encoding="utf-8") as handle:
+        handle.write(deep)
+    extra = ["--questions", str(questions), "--spaces", str(spaces_path),
+             "--config", str(config_path)] if command == "trace" else []
+    result = invoke(command, "--in", str(answers), "--out", str(tmp_path / "o.jsonl"), *extra)
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("error: line 2: ")
+    assert "Traceback" not in result.output
 
 
 def test_trace_command_fixture_miss_exit_2(tmp_path):

@@ -15,6 +15,8 @@ from discotrace import (
 from discotrace.corpus import FILTER_RULES, SCHEMA_VERSION
 from discotrace.errors import InsufficientPosts, MalformedLine, SchemaVersionMismatch, UnknownCommunity
 
+from conftest import deep_tree_json
+
 
 def post(title, score=10, profanity=0.0, community="AskHistorians", post_id="p1", comments=()):
     return RawPost(
@@ -184,6 +186,14 @@ def test_corpus_round_trip(tmp_path):
 def test_read_corpus_malformed_line(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text('{"ok": 1}\nnot json at all\n')
+    with pytest.raises(MalformedLine) as exc:
+        read_corpus(path)
+    assert exc.value.line_number == 2
+
+
+def test_read_corpus_too_deep_line(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"ok": 1}\n{"rst_tree": ' + deep_tree_json(1500) + '}\n')
     with pytest.raises(MalformedLine) as exc:
         read_corpus(path)
     assert exc.value.line_number == 2

@@ -1,5 +1,7 @@
+import gc
 import json
 import re
+import weakref
 
 import pytest
 
@@ -135,6 +137,29 @@ def test_parse_failure_degrades_to_none(tmp_path):
     )
     assert [t.act_id for t in tagged] == ["NONE"]
     assert len(diagnostics) == 1
+    assert "parse failure" in diagnostics[0]
+
+
+def test_parse_failure_leaves_no_reference_cycle(tmp_path):
+    # A kept exception's traceback would reach tag_answer's frame, and so the tree.
+    doc = {"edu": "hello there"}
+    backend = mock_backend(tmp_path, retry_limit=1)
+
+    def run(tree):
+        return tag_answer("Q?", "hello there", segment_answer(tree), tree, load_ont(), backend)
+
+    record_fixture_by_replay(
+        backend.fixture_path, lambda: run(parse_rst_tree(doc)), lambda req: "utter garbage",
+    )
+    gc.disable()
+    try:
+        tree = parse_rst_tree(doc)
+        alive = weakref.ref(tree)
+        _, diagnostics = run(tree)
+        del tree
+        assert alive() is None
+    finally:
+        gc.enable()
     assert "parse failure" in diagnostics[0]
 
 

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from discotrace import get_leaves, parse_rst_tree, serialize_rst_tree
 from discotrace.errors import (
@@ -12,7 +13,7 @@ from discotrace.errors import (
 )
 from discotrace.rst import leaf_count, normalize_relation
 
-from conftest import chain_tree, leaf, node, random_tree
+from conftest import chain_tree, deep_tree_json, leaf, node, random_tree, tree_docs
 
 
 def test_single_leaf_document():
@@ -122,3 +123,30 @@ def test_edu_indices_contiguous():
     for _ in range(25):
         tree = parse_rst_tree(random_tree(rng))
         assert [e.index for e in tree.leaves()] == list(range(tree.edu_count))
+
+
+@given(tree_docs())
+@settings(max_examples=200)
+def test_leaf_views_agree(doc):
+    tree = parse_rst_tree(doc)
+    leaves = get_leaves(tree.root)
+    assert tree.leaves() == leaves
+    assert tree.edu_count == leaf_count(tree.root) == len(leaves)
+    assert [e.index for e in leaves] == list(range(len(leaves)))
+
+
+def test_first_invalid_node_in_document_order_names_the_error():
+    bad_left = node("Foo", "NS", leaf("a"), leaf("b"))
+    bad_right = node("Contrast", "XX", leaf("c"), "not a node")
+    with pytest.raises(UnknownRelation):
+        parse_rst_tree(node("Contrast", "NN", bad_left, bad_right))
+    with pytest.raises(UnknownNuclearity):
+        parse_rst_tree(node("Contrast", "NN", leaf("a"), bad_right))
+    with pytest.raises(MalformedDocument, match="node must be an object, got str"):
+        parse_rst_tree(node("Contrast", "NN", leaf("a"), node("Joint", "NN", leaf("c"), "x")))
+
+
+def test_too_deep_json_text_is_malformed():
+    # The JSON decoder recurses per level; a dict of any depth parses.
+    with pytest.raises(MalformedDocument, match="invalid JSON"):
+        parse_rst_tree(deep_tree_json(1500))

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discotrace import (
     BoundaryConfig,
@@ -10,9 +12,9 @@ from discotrace import (
     parse_rst_tree,
     segment_answer,
 )
-from discotrace.rst import RELATIONS, NUCLEARITIES, get_leaves
+from discotrace.rst import RELATIONS, NUCLEARITIES, get_leaves, serialize_rst_tree
 
-from conftest import chain_tree, leaf, node, random_tree
+from conftest import chain_tree, leaf, node, random_tree, tree_docs
 
 # Expected boundary table, written out independently of the package default.
 EXPECTED_BOUNDARY = {
@@ -202,3 +204,71 @@ def test_config_from_dict():
     assert config.boundary_pairs == frozenset({("Contrast", "NN")})
     assert config.min_span_k == 2
     assert BoundaryConfig.from_dict({}).boundary_pairs == DEFAULT_BOUNDARY_PAIRS
+
+
+ALL_PAIRS = sorted((relation, nuclearity) for relation in RELATIONS for nuclearity in NUCLEARITIES)
+
+
+@given(tree_docs(), st.frozensets(st.sampled_from(ALL_PAIRS)), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_get_spans_matches_reference_property(doc, boundary_pairs, k):
+    config = BoundaryConfig(boundary_pairs=boundary_pairs, min_span_k=k)
+    tree = parse_rst_tree(doc)
+    cases = [(tree.root, doc)]
+    if not tree.root.is_leaf:  # subtrees whose leaves do not start at EDU 0
+        cases += [(tree.root.left, doc["left"]), (tree.root.right, doc["right"])]
+    for subtree, subdoc in cases:
+        expected = reference_get_spans(subdoc, boundary_pairs, k)
+        assert spans_as_text(get_spans(subtree, config)) == expected
+
+
+def grouped_chain(n_edus, rng):
+    """Left-skewed tree of Elaboration chains of 2-5 EDUs joined by Contrast(NN).
+
+    Returns the document and the EDU index ranges of the chains, which are
+    the expected segments under the default boundary pairs."""
+    groups, start = [], 0
+    while start < n_edus:
+        end = min(start + rng.randint(2, 5), n_edus)
+        groups.append(range(start, end))
+        start = end
+    doc = None
+    for group in groups:
+        chain = leaf(f"e{group[0]}")
+        for i in group[1:]:
+            chain = node("Elaboration", "NS", chain, leaf(f"e{i}"))
+        doc = chain if doc is None else node("Contrast", "NN", doc, chain)
+    return doc, [tuple(group) for group in groups]
+
+
+def same_document(a, b):
+    """Structural equality without recursion (``==`` on dicts recurses)."""
+    pending = [(a, b)]
+    while pending:
+        x, y = pending.pop()
+        if x.keys() != y.keys():
+            return False
+        if "edu" in x:
+            if x["edu"] != y["edu"]:
+                return False
+            continue
+        if (x["relation"], x["nuclearity"]) != (y["relation"], y["nuclearity"]):
+            return False
+        pending += [(x["left"], y["left"]), (x["right"], y["right"])]
+    return True
+
+
+@pytest.mark.parametrize("boundaries", [False, True])
+def test_ten_thousand_edu_chain(boundaries):
+    n = 10_000
+    if boundaries:
+        doc, expected = grouped_chain(n, random.Random(17))
+        assert max(len(g) for g in expected) <= 5 and len(expected) > 1000
+    else:
+        doc, expected = chain_tree(n), [tuple(range(n))]
+    tree = parse_rst_tree(doc)
+    assert tree.edu_count == n
+    segments = segment_answer(tree)
+    assert [s.edu_indices for s in segments] == expected
+    assert [s.text for s in segments] == [" ".join(f"e{i}" for i in g) for g in expected]
+    assert same_document(serialize_rst_tree(tree), doc)
