@@ -108,10 +108,6 @@ class FilterConfig:
     deictic: tuple = DEICTIC
 
 
-def _tokens(text: str) -> list[str]:
-    return re.findall(r"[\w'?]+", text.lower())
-
-
 def _is_interrogative(title: str, config: FilterConfig) -> bool:
     if title.rstrip().endswith("?"):
         return True

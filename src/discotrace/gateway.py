@@ -5,8 +5,9 @@ OpenAI-style wire format with a configurable auth header and response
 content path, and retry transient failures with exponential backoff. Mock
 backends replay recorded fixtures: JSONL lines of
 ``{"request_digest": ..., "response_text": ...}`` keyed by a SHA-256
-digest of the canonical request, so replays are deterministic and
-byte-stable.
+digest of the request's canonical JSON, so replays are deterministic and
+byte-stable. The digest is unchanged from earlier versions, but a request
+built from a per-answer prompt head hashes only its own tail after the head.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import requests
@@ -59,9 +60,9 @@ class BackendSpec:
         return cls(**doc)
 
 
-def request_digest(request: ChatRequest) -> str:
-    """Stable SHA-256 digest of a chat request's canonical JSON form."""
-    canonical = json.dumps(
+def _canonical(request) -> str:
+    """Canonical JSON of a :class:`ChatRequest` or a :class:`PromptHead`."""
+    return json.dumps(
         {
             "system": request.system,
             "user": request.user,
@@ -72,7 +73,28 @@ def request_digest(request: ChatRequest) -> str:
         sort_keys=True,
         ensure_ascii=False,
     )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def request_digest(request: ChatRequest) -> str:
+    """Stable SHA-256 digest of a chat request's canonical JSON form. "user" is
+    its last key and JSON escapes one character at a time, so a request that
+    still matches its ``head`` hashes only the rest of ``user``, on a copy of
+    the head's state."""
+    head = request.head
+    # Identity, not ==: 0.0 == -0.0 and 1 == 1.0 == True, yet each dumps differently.
+    if (head is None or request.system is not head.system
+            or request.model_name is not head.model_name
+            or request.temperature is not head.temperature
+            or request.max_tokens is not head.max_tokens
+            or not request.user.startswith(head.user)):
+        return hashlib.sha256(_canonical(request).encode("utf-8")).hexdigest()
+    if head.digest_state is None:  # the head's canonical form, less its closing '"}'
+        state = hashlib.sha256(_canonical(head)[:-2].encode("utf-8"))
+        object.__setattr__(head, "digest_state", state)
+    state = head.digest_state.copy()
+    tail = json.dumps(request.user[len(head.user):], ensure_ascii=False)
+    state.update((tail[1:] + "}").encode("utf-8"))
+    return state.hexdigest()
 
 
 def text_digest(model: str, text: str) -> str:
@@ -87,29 +109,36 @@ _fixture_cache: dict[str, tuple[float, dict[str, str]]] = {}
 def load_fixture(path: str) -> dict[str, str]:
     """Load (and cache by the path as given, until its mtime changes) a
     fixture file mapping digest -> response text."""
-    mtime = os.path.getmtime(path)
-    cached = _fixture_cache.get(path)
+    key = os.fspath(path)
+    mtime = os.path.getmtime(key)
+    cached = _fixture_cache.get(key)
     if cached is not None and cached[0] == mtime:
         return cached[1]
     entries = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(key, encoding="utf-8") as handle:
         for line in handle:
             if not line.strip():
                 continue
             record = json.loads(line)
             entries[record["request_digest"]] = record["response_text"]
-    _fixture_cache[path] = (mtime, entries)
+    _fixture_cache[key] = (mtime, entries)
     return entries
 
 
 def append_fixture(path: str, digest: str, response_text: str) -> None:
-    """Record one response in a fixture file (test/recording helper)."""
-    with open(path, "a", encoding="utf-8") as handle:
+    """Record one response in a fixture file (test/recording helper). A cached
+    copy that was current before the append takes the new entry in place."""
+    key = os.fspath(path)
+    with open(key, "a", encoding="utf-8") as handle:
+        before = os.fstat(handle.fileno()).st_mtime
         handle.write(json.dumps(
             {"request_digest": digest, "response_text": response_text},
             ensure_ascii=False,
         ) + "\n")
-    _fixture_cache.pop(str(path), None)
+    cached = _fixture_cache.pop(key, None)
+    if cached is not None and cached[0] == before:
+        cached[1][digest] = response_text
+        _fixture_cache[key] = (os.path.getmtime(key), cached[1])
 
 
 def _auth_headers(backend: BackendSpec) -> dict[str, str]:

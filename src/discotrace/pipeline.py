@@ -115,10 +115,6 @@ def _ask(backend: BackendSpec, request, parse):
     return None, failure
 
 
-def _segment_text(edu_texts: list[str], indices) -> str:
-    return " ".join(edu_texts[i] for i in indices)
-
-
 def tag_answer(
     question: str,
     answer_text: str,
@@ -133,6 +129,7 @@ def tag_answer(
     diagnostics: list[str] = []
     prev_text: Optional[str] = None
     prev_label: Optional[str] = None
+    head = None  # what every request of this answer shares, from its first request
 
     for segment in segments:
         subsegments = [edu_texts[i] for i in segment.edu_indices]
@@ -145,7 +142,9 @@ def tag_answer(
             subsegments=subsegments,
             ontology=ontology,
             model_name=backend.model,
+            head=head,
         )
+        head = request.head
         assignments, failure = _ask(
             backend, request, lambda raw: parse_act_response(raw, ontology, len(subsegments))
         )
@@ -222,14 +221,13 @@ def pair_interpretations(
     edu_texts = [edu.text for edu in tree.leaves()] if tree is not None else None
     id_to_text = space.id_to_text() if space is not None else {}
     known_ids = set(id_to_text)
+    head = None  # as in tag_answer
 
     for segment in tagged:
         interpretation_id = None
         if known_ids and is_eligible(ontology, segment.act_id):
-            if edu_texts is not None:
-                segment_text = _segment_text(edu_texts, segment.edu_indices)
-            else:
-                segment_text = answer_text
+            segment_text = (" ".join(edu_texts[i] for i in segment.edu_indices)
+                            if edu_texts is not None else answer_text)
             request = build_interp_label_prompt(
                 question=question,
                 interpretations=id_to_text,
@@ -237,7 +235,9 @@ def pair_interpretations(
                 segment=segment_text,
                 act_label=ontology.get(segment.act_id).display_name,
                 model_name=backend.model,
+                head=head,
             )
+            head = request.head
             try:
                 interpretation_id, failure = _ask(
                     backend, request, lambda raw: parse_interp_label(raw, known_ids)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (
@@ -31,10 +31,28 @@ class ChatRequest:
     model_name: str
     temperature: float = DEFAULT_TEMPERATURE
     max_tokens: Optional[int] = None
+    head: Optional["PromptHead"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.system or not self.user:
             raise ValueError("system and user text must be non-empty")
+
+
+@dataclass(frozen=True, eq=False)
+class PromptHead:
+    """What the requests of one prompt kind for one answer share: all but the
+    end of ``user``. The gateway keeps its digest state here once built."""
+
+    system: str
+    user: str
+    model_name: str
+    temperature: float = DEFAULT_TEMPERATURE
+    max_tokens: Optional[int] = None
+    digest_state: object = field(default=None, init=False, repr=False)
+
+    def request(self, user_tail: str) -> ChatRequest:
+        return ChatRequest(self.system, self.user + user_tail, self.model_name,
+                           self.temperature, self.max_tokens, head=self)
 
 
 @dataclass(frozen=True)
@@ -155,6 +173,12 @@ Segment (labeled as "{action_label}")
 
 Respond with EXACTLY ONE JSON dictionary (NOT an array)."""
 
+# All requests of one answer share the user text before the per-segment part.
+ACT_TAGGING_USER_HEAD = ACT_TAGGING_USER[:ACT_TAGGING_USER.index('Previous Segment action="')]
+ACT_TAGGING_USER_TAIL = ACT_TAGGING_USER[len(ACT_TAGGING_USER_HEAD):]
+INTERP_LABEL_USER_HEAD = INTERP_LABEL_USER[:INTERP_LABEL_USER.index("Segment (labeled as")]
+INTERP_LABEL_USER_TAIL = INTERP_LABEL_USER[len(INTERP_LABEL_USER_HEAD):]
+
 MIMIC_SYSTEM = (
     "r/{subreddit} is a subreddit for {subreddit_explanation}. "
     "The community guidelines for r/{subreddit} are as follows: {community_guidelines}."
@@ -185,24 +209,23 @@ def build_act_prompt(
     ontology: Ontology,
     model_name: str,
     temperature: float = DEFAULT_TEMPERATURE,
+    head: Optional[PromptHead] = None,
 ) -> ChatRequest:
-    """Build the discourse-act tagging request for one segment."""
+    """Build the discourse-act tagging request for one segment. ``head`` may be
+    an earlier segment's ``request.head``, so the shared text is rendered once."""
     if not segment.strip() or not subsegments:
         raise EmptySegment("segment and subsegments must be non-empty")
+    if head is None:
+        head = PromptHead(ACT_TAGGING_SYSTEM.format(ontology=render_ontology(ontology)),
+                          ACT_TAGGING_USER_HEAD.format(question=question, answer=answer),
+                          model_name, temperature)
     numbered = "\n".join(f"{i}: {text}" for i, text in enumerate(subsegments))
-    return ChatRequest(
-        system=ACT_TAGGING_SYSTEM.format(ontology=render_ontology(ontology)),
-        user=ACT_TAGGING_USER.format(
-            question=question,
-            answer=answer,
-            prev_label=prev_label if prev_label is not None else NO_PREVIOUS_SEGMENT,
-            segment_prev=prev_segment if prev_segment is not None else NO_PREVIOUS_SEGMENT,
-            segment=segment,
-            subsegments=numbered,
-        ),
-        model_name=model_name,
-        temperature=temperature,
-    )
+    return head.request(ACT_TAGGING_USER_TAIL.format(
+        prev_label=prev_label if prev_label is not None else NO_PREVIOUS_SEGMENT,
+        segment_prev=prev_segment if prev_segment is not None else NO_PREVIOUS_SEGMENT,
+        segment=segment,
+        subsegments=numbered,
+    ))
 
 
 def build_interp_gen_prompt(
@@ -231,21 +254,15 @@ def build_interp_label_prompt(
     act_label: str,
     model_name: str,
     temperature: float = DEFAULT_TEMPERATURE,
+    head: Optional[PromptHead] = None,
 ) -> ChatRequest:
-    """Build the interpretation-labeling request for one tagged segment."""
-    rendered = "\n".join(f"{iid}: {text}" for iid, text in interpretations.items())
-    return ChatRequest(
-        system=INTERP_LABEL_SYSTEM,
-        user=INTERP_LABEL_USER.format(
-            question=question,
-            interpretations=rendered,
-            answer=answer,
-            segment=segment,
-            action_label=act_label,
-        ),
-        model_name=model_name,
-        temperature=temperature,
-    )
+    """Build the interpretation-labeling request for one tagged segment;
+    ``head`` as in :func:`build_act_prompt`."""
+    if head is None:
+        rendered = "\n".join(f"{iid}: {text}" for iid, text in interpretations.items())
+        head = PromptHead(INTERP_LABEL_SYSTEM, INTERP_LABEL_USER_HEAD.format(
+            question=question, interpretations=rendered, answer=answer), model_name, temperature)
+    return head.request(INTERP_LABEL_USER_TAIL.format(segment=segment, action_label=act_label))
 
 
 def build_mimic_prompt(

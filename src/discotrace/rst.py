@@ -52,6 +52,23 @@ class RstNode:
     def is_leaf(self) -> bool:
         return self.edu is not None
 
+    # ==, hash and repr do not recurse, so they work on trees of any depth.
+    def _preorder_key(self) -> tuple:
+        return tuple((n.edu, n.relation, n.nuclearity) for n in _preorder(self))
+
+    def __eq__(self, other):
+        if not isinstance(other, RstNode):
+            return NotImplemented
+        return self is other or self._preorder_key() == other._preorder_key()
+
+    def __hash__(self):
+        return hash(self._preorder_key())
+
+    def __repr__(self) -> str:
+        if self.is_leaf:
+            return f"RstNode(edu={self.edu!r})"
+        return f"RstNode({self.relation!r}, {self.nuclearity!r}, leaves={leaf_count(self)})"
+
 
 @dataclass(frozen=True)
 class RstTree:

@@ -1,12 +1,18 @@
+import dataclasses
+import hashlib
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from discotrace import BackendSpec, ChatRequest, complete, embed, request_digest
+from discotrace import BackendSpec, ChatRequest, complete, embed, gateway, request_digest
 from discotrace.errors import AuthError, EmbeddingDimensionMismatch, FixtureMiss, TransportError
-from discotrace.gateway import append_fixture, text_digest
+from discotrace.gateway import append_fixture, load_fixture, text_digest
+from discotrace.prompts import PromptHead
 
 
 def make_request(user="hello"):
@@ -16,6 +22,102 @@ def make_request(user="hello"):
 def test_digest_stable_and_input_sensitive():
     assert request_digest(make_request()) == request_digest(make_request())
     assert request_digest(make_request()) != request_digest(make_request("other"))
+
+
+def full_digest(request):
+    canonical = json.dumps(
+        {"system": request.system, "user": request.user, "model_name": request.model_name,
+         "temperature": request.temperature, "max_tokens": request.max_tokens},
+        sort_keys=True, ensure_ascii=False,
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def test_digest_golden():
+    # Fixtures recorded by earlier versions are keyed by this form; it must not move.
+    request = ChatRequest(
+        system='sys "q" \\\\ \n\t\x00\x1f\x7f é 𝄞',
+        user='Question\nwhy "x"?\\\\ \r\u2028 \x0b 😀 end',
+        model_name="m-1", temperature=-0.0, max_tokens=7,
+    )
+    golden = "5d82e3ece91866da3fe9795cca3ab3a38100486edd2e08562c02fa2d45323643"
+    assert request_digest(request) == golden
+    for split in (0, 9, len(request.user) - 1):
+        head = PromptHead(request.system, request.user[:split], "m-1", -0.0, 7)
+        assert request_digest(head.request(request.user[split:])) == golden
+
+
+_CHARS = st.one_of(
+    st.sampled_from('"\\\n\r\t\x7f'),
+    st.characters(max_codepoint=0x1F),
+    st.characters(min_codepoint=0x80, max_codepoint=0x2FFF),
+    st.characters(min_codepoint=0x10000, max_codepoint=0x1FAFF),
+    st.characters(),
+)
+_TEXT = st.text(_CHARS, min_size=1, max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    system=_TEXT, user=_TEXT, other_tail=_TEXT, split=st.integers(0, 30),
+    max_tokens=st.one_of(st.none(), st.integers(0, 10**6)),
+    temperature=st.sampled_from([0.0, -0.0, 0.01, 1, 1.0]),
+)
+def test_head_digest_equals_full_digest(system, user, other_tail, split, max_tokens,
+                                        temperature):
+    split = min(split, len(user))
+    head = PromptHead(system, user[:split], "model", temperature, max_tokens)
+    for tail in (user[split:] or "x", other_tail):  # the head's state is reused
+        request = head.request(tail)
+        assert request_digest(request) == full_digest(request)
+    assert head.digest_state is not None
+
+
+def test_mismatched_head_falls_back_to_full_digest():
+    head = PromptHead("sys", "Question\nQ?\n\n", "model", 1, None)
+    request = head.request("Segment\nS")
+    assert request_digest(request) == full_digest(request)
+    stale = [
+        dataclasses.replace(request, system="other"),
+        dataclasses.replace(request, model_name="other"),
+        dataclasses.replace(request, max_tokens=5),
+        dataclasses.replace(request, user="Question\nR?\n\nSegment\nS"),
+        dataclasses.replace(request, user="Question"),
+    ] + [dataclasses.replace(request, temperature=t) for t in (1.0, True)]
+    zero = PromptHead("sys", "Question\n", "model", 0.0).request("S")
+    stale.append(dataclasses.replace(zero, temperature=-0.0))
+    for changed in stale:
+        assert changed.head is not None
+        assert request_digest(changed) == full_digest(changed)
+    assert len({request_digest(r) for r in stale}) == len(stale)
+
+
+def test_append_fixture_keeps_the_cache_current(tmp_path, monkeypatch):
+    fixture = tmp_path / "fixture.jsonl"
+    fixture.write_text("")
+    reads = []
+
+    def counting_open(path, mode="r", *args, **kwargs):
+        if "r" in mode:
+            reads.append(path)
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(gateway, "open", counting_open, raising=False)
+    for i in range(40):
+        entries = load_fixture(str(fixture))
+        assert all(entries[f"d{j}"] == f"r{j}" for j in range(i))
+        append_fixture(fixture, f"d{i}", f"r{i}")
+    entries = load_fixture(str(fixture))
+    assert reads == [str(fixture)]
+    assert entries == {f"d{i}": f"r{i}" for i in range(40)}
+
+    # A file changed behind the cache's back is read again in full.
+    with open(fixture, "a") as handle:
+        handle.write(json.dumps({"request_digest": "x", "response_text": "y"}) + "\n")
+    os.utime(fixture, (0, 0))
+    append_fixture(fixture, "d40", "r40")
+    assert load_fixture(str(fixture))["x"] == "y"
+    assert len(reads) == 2
 
 
 def test_mock_replay(tmp_path):

@@ -124,6 +124,21 @@ def test_previous_segment_context_flows(tmp_path):
     assert "first part" in second_call
 
 
+def test_system_text_rendered_once_per_answer(tmp_path, monkeypatch):
+    from discotrace import gateway, prompts
+
+    doc = node("Contrast", "NN", node("Contrast", "NN", leaf("a"), leaf("b")), leaf("c"))
+    _, tree, segments, backend, answer = run_tagging(
+        tmp_path, doc, lambda req: single_act("action_AQ_assert_answer"))
+    renders, requests = [], []
+    render, complete = prompts.render_ontology, gateway.complete
+    monkeypatch.setattr(prompts, "render_ontology", lambda o: renders.append(o) or render(o))
+    monkeypatch.setattr(gateway, "complete", lambda b, r: requests.append(r) or complete(b, r))
+    tag_answer("Q?", answer, segments, tree, load_ont(), backend)
+    assert len(segments) == len(requests) == 3 and len(renders) == 1
+    assert len({id(request.head) for request in requests}) == 1
+
+
 def test_parse_failure_degrades_to_none(tmp_path):
     tree = parse_rst_tree({"edu": "hello there"})
     segments = segment_answer(tree)

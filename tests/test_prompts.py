@@ -209,6 +209,24 @@ def test_interp_label_prompt():
     assert "interpretation_id" in req.system
 
 
+def test_requests_from_a_head_equal_requests_built_without_one(ontology):
+    first = act_request(ontology)
+    for prev_segment, prev_label in ((None, None), ("Because.", "action_AQ_assert_answer")):
+        fields = dict(prev_segment=prev_segment, prev_label=prev_label,
+                      segment="Also sunsets.", subsegments=["Also", "sunsets."])
+        request = act_request(ontology, head=first.head, **fields)
+        assert request == act_request(ontology, **fields)
+        assert repr(request) == repr(act_request(ontology, **fields))
+        assert request.head is first.head and request.system is first.system
+
+    fields = dict(question="Q?", interpretations={"id_1": "One?", "id_2": "Two?"},
+                  answer="A full answer.", act_label="Assert Answer", model_name="m")
+    first = build_interp_label_prompt(segment="A full", **fields)
+    request = build_interp_label_prompt(segment="answer.", head=first.head, **fields)
+    assert request == build_interp_label_prompt(segment="answer.", **fields)
+    assert request.head is first.head
+
+
 def test_parse_interp_label_forms():
     assert parse_interp_label('[{"interpretation_id":"id_1"}]', {"id_1"}) == "id_1"
     assert parse_interp_label('{"interpretation_id":"id_1"}', {"id_1"}) == "id_1"

@@ -103,6 +103,18 @@ def test_round_trip_identity():
         assert again == tree
 
 
+def test_deep_trees_compare_hash_and_repr():
+    tree, same = parse_rst_tree(chain_tree(3000)), parse_rst_tree(chain_tree(3000))
+    other = parse_rst_tree(node("Elaboration", "NS", chain_tree(2999), leaf("other")))
+    assert tree == same and tree.root is not same.root
+    assert hash(tree) == hash(same) and hash(tree.root) == hash(same.root)
+    assert tree != other and tree.root != other.root
+    assert len({tree, same, other}) == 2
+    assert repr(tree.root) == "RstNode('Elaboration', 'NS', leaves=3000)"
+    assert repr(tree) == f"RstTree(root={tree.root!r})"
+    assert repr(tree.edus[0]) in repr(parse_rst_tree(leaf("e0")).root)
+
+
 def test_leaf_count_additivity():
     rng = random.Random(11)
     for _ in range(25):
