@@ -20,9 +20,9 @@ from . import corpus as corpus_io
 from .config import PipelineConfig
 from .errors import AuthError, DiscoTraceError, FixtureMiss, TransportError
 from .gateway import complete
-from .interpretations import build_space
+from .interpretations import InterpretationSpace, build_space
 from .ontology import load_ontology
-from .pipeline import pair_interpretations, tag_answer
+from .pipeline import DiscoTrace, pair_interpretations, tag_answer
 from .prompts import build_mimic_prompt
 from .rst import parse_rst_tree
 from .segmentation import segment_answer
@@ -33,8 +33,6 @@ from .stats import (
     interpretation_metrics,
     project_families,
 )
-from .interpretations import InterpretationSpace
-from .pipeline import DiscoTrace
 
 _BACKEND_ERRORS = (TransportError, AuthError, FixtureMiss)
 _INPUT_ERRORS = (FileNotFoundError, KeyError, ValueError)
@@ -205,15 +203,13 @@ def trace_cmd(in_path, questions_path, spaces_path, out_path, config_path):
     click.echo(f"traced {len(out_records)} answers ({n_diag} diagnostics)")
 
 
-def _read_traces(path):
-    return [DiscoTrace.from_dict(doc) for doc in corpus_io.read_corpus(path)]
+def _act_ids(doc) -> list:
+    return [s["act_id"] for s in doc.get("steps", ())]
 
 
 def _read_spaces(path) -> dict:
-    return {
-        doc["question_id"]: InterpretationSpace.from_dict(doc)
-        for doc in corpus_io.read_corpus(path)
-    }
+    spaces = corpus_io.read_corpus(path, view=InterpretationSpace.from_dict)
+    return {space.question_id: space for space in spaces}
 
 
 def _vocabulary(ontology, family_level: bool) -> list:
@@ -243,7 +239,7 @@ def model_cmd(in_path, out_path, config_path, smoothing_flag, family_level):
     """Fit a bigram strategy model over act sequences."""
     config = _load_config(config_path)
     ontology = load_ontology(config.ontology_path)
-    traces = _read_traces(in_path)
+    traces = corpus_io.read_corpus(in_path, view=_act_ids)
     smoothing = _smoothing_from_flag(smoothing_flag, config)
     sequences = project_families(traces, ontology) if family_level else traces
     model = fit_bigram(sequences, smoothing, vocabulary=_vocabulary(ontology, family_level))
@@ -275,7 +271,7 @@ def compare_cmd(corpora, out_path, json_out, long_csv_out, config_path,
     for item in corpora:
         name, _, path = item.rpartition("=")
         name = name or Path(path).stem
-        traces = _read_traces(path)
+        traces = corpus_io.read_corpus(path, view=_act_ids)
         named[name] = project_families(traces, ontology) if family_level else traces
     matrix = cross_perplexity_matrix(named, smoothing,
                                      vocabulary=_vocabulary(ontology, family_level))
@@ -298,7 +294,7 @@ def metrics_cmd(in_path, spaces_path, out_path, config_path):
     """Coverage, dedication, and unmatched-rate aggregates."""
     config = _load_config(config_path)
     ontology = load_ontology(config.ontology_path)
-    traces = _read_traces(in_path)
+    traces = corpus_io.read_corpus(in_path, view=DiscoTrace.from_dict)
     spaces = _read_spaces(spaces_path)
     report = interpretation_metrics(traces, spaces, ontology)
     coverages = list(report.coverage.values())

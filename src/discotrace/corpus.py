@@ -10,6 +10,7 @@ kept but flagged.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import re
@@ -231,25 +232,42 @@ def sample_questions(posts: list, n: int, seed: int) -> list:
     return random.Random(seed).sample(posts, n)
 
 
-def read_corpus(path) -> list[dict]:
-    """Read a JSONL corpus; unknown fields are preserved verbatim."""
+def read_corpus(path, view=None) -> list:
+    """Read a JSONL corpus; unknown fields are preserved verbatim. ``view``
+    maps each record as it is read, so only what it keeps stays in memory.
+    The cyclic GC is paused meanwhile: parsed JSON cannot form cycles."""
     records = []
-    with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                # The decoder recurses per nesting level, so a deep enough
-                # document raises RecursionError rather than a decode error.
-                raise MalformedLine(number, str(exc)) from exc
-            version = record.get("schema_version", SCHEMA_VERSION)
-            if version != SCHEMA_VERSION:
-                raise SchemaVersionMismatch(
-                    f"line {number}: schema_version {version} != {SCHEMA_VERSION}"
-                )
-            records.append(record)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for number, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except (json.JSONDecodeError, RecursionError) as exc:
+                    # The decoder recurses per nesting level, so a deep enough
+                    # document raises RecursionError rather than a decode error.
+                    raise MalformedLine(number, str(exc)) from exc
+                if not isinstance(record, dict):
+                    raise MalformedLine(number, "record is not a JSON object")
+                version = record.get("schema_version", SCHEMA_VERSION)
+                if version != SCHEMA_VERSION:
+                    raise SchemaVersionMismatch(
+                        f"line {number}: schema_version {version} != {SCHEMA_VERSION}"
+                    )
+                if view is not None:
+                    try:
+                        record = view(record)
+                    except (KeyError, TypeError) as exc:
+                        raise MalformedLine(
+                            number, f"unreadable record ({type(exc).__name__}: {exc})"
+                        ) from exc
+                records.append(record)
+    finally:
+        if was_enabled:
+            gc.enable()
     return records
 
 

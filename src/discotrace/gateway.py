@@ -19,8 +19,6 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-import requests
-
 from .errors import AuthError, EmbeddingDimensionMismatch, FixtureMiss, TransportError
 from .prompts import ChatRequest
 
@@ -108,12 +106,16 @@ _fixture_cache: dict[str, tuple[float, dict[str, str]]] = {}
 
 def load_fixture(path: str) -> dict[str, str]:
     """Load (and cache by the path as given, until its mtime changes) a
-    fixture file mapping digest -> response text."""
+    fixture file mapping digest -> response text. Each read also drops the
+    cached files that no longer exist."""
     key = os.fspath(path)
     mtime = os.path.getmtime(key)
     cached = _fixture_cache.get(key)
     if cached is not None and cached[0] == mtime:
         return cached[1]
+    for other in list(_fixture_cache):  # a snapshot: other threads may insert
+        if not os.path.exists(other):
+            _fixture_cache.pop(other, None)
     entries = {}
     with open(key, encoding="utf-8") as handle:
         for line in handle:
@@ -159,6 +161,8 @@ def _extract(payload, path):
 
 def _post_with_retries(backend: BackendSpec, body: dict):
     """POST with exponential backoff on transport failures, 5xx and non-JSON bodies."""
+    import requests  # only live backends pay for the HTTP stack
+
     last_error = None
     for attempt in range(backend.retry_limit + 1):
         if attempt:

@@ -18,6 +18,13 @@ from discotrace import (
 from discotrace.cli import main
 from discotrace.interpretations import Interpretation, InterpretationSpace
 from discotrace.pipeline import DiscoTrace, TraceStep
+from discotrace.stats import (
+    Smoothing,
+    cross_perplexity_matrix,
+    fit_bigram,
+    interpretation_metrics,
+    project_families,
+)
 
 from conftest import deep_tree_json, http_stub, record_fixture_by_replay, write_jsonl
 
@@ -330,6 +337,87 @@ def test_metrics_command(tmp_path):
     assert doc["dedication"]["a1:id_1"] == 0.5
 
 
+def test_analyze_commands_equal_the_library_path(tmp_path):
+    # Steps carry extra keys or lack edu_indices; the CLI must read them as
+    # DiscoTrace.from_dict does.
+    acts = ["action_AQ_assert_answer", "action_AQ_provide_reasoning",
+            "action_SI_clarification"]
+    docs = []
+    for i in range(8):
+        steps = []
+        for j in range(1 + i % 4):
+            step = {"act_id": acts[(i + j) % 3]}
+            step.update({"edu_indices": [j]} if j % 2 else {"confidence": 0.5})
+            if step["act_id"] == acts[0] and i % 3:
+                step["interpretation_id"] = f"id_{1 + i % 2}"
+            steps.append(step)
+        docs.append({"answer_id": f"a{i}", "question_id": "q1", "steps": steps,
+                     "note": "kept verbatim"})
+    left, right = tmp_path / "left.jsonl", tmp_path / "right.jsonl"
+    write_jsonl(left, docs[:5])
+    write_jsonl(right, docs[3:])
+    left_traces = [DiscoTrace.from_dict(d) for d in docs[:5]]
+    right_traces = [DiscoTrace.from_dict(d) for d in docs[3:]]
+    ontology = load_ontology()
+    smoothing = Smoothing(mode="add_lambda", lam=0.5)
+    out = tmp_path / "out"
+    out.mkdir()
+
+    for family_level in (False, True):
+        flag = ["--family-level"] if family_level else []
+        vocabulary = (sorted({a.family for a in ontology.acts if a.family}) + ["NONE"]
+                      if family_level else ontology.act_ids())
+        project = (lambda t: project_families(t, ontology)) if family_level else list
+        result = invoke("compare", "--corpora", f"L={left}", "--corpora", f"R={right}",
+                        "--out", str(out / "m.csv"), "--json-out", str(out / "m.json"),
+                        "--smoothing", "add_lambda:0.5", *flag)
+        assert result.exit_code == 0, result.output
+        matrix = cross_perplexity_matrix(
+            {"L": project(left_traces), "R": project(right_traces)}, smoothing,
+            vocabulary=vocabulary)
+        assert (out / "m.json").read_text() == matrix.to_json()
+
+        result = invoke("model", "--in", str(left), "--out", str(out / "model.json"),
+                        "--smoothing", "add_lambda:0.5", *flag)
+        assert result.exit_code == 0, result.output
+        model = fit_bigram(project(left_traces), smoothing, vocabulary=vocabulary)
+        doc = json.loads((out / "model.json").read_text())
+        assert doc["vocabulary"] == list(model.vocabulary)
+        assert doc["counts"] == [[p, n, c] for (p, n), c in sorted(model.counts.items())]
+        assert doc["training_sequences"] == model.training_sequences
+
+    spaces_path = tmp_path / "spaces.jsonl"
+    space = InterpretationSpace(question_id="q1", members=[
+        Interpretation(id="id_1", text="one"), Interpretation(id="id_2", text="two"),
+        Interpretation(id="id_3", text="three")])
+    write_jsonl(spaces_path, [space.to_dict()])
+    result = invoke("metrics", "--in", str(left), "--spaces", str(spaces_path),
+                    "--out", str(out / "metrics.json"))
+    assert result.exit_code == 0, result.output
+    report = interpretation_metrics(left_traces, {"q1": space}, ontology)
+    doc = json.loads((out / "metrics.json").read_text())
+    assert doc["unmatched_rate"] == report.unmatched_rate
+    assert doc["coverage"] == report.coverage
+    assert doc["matched_per_answer"] == report.matched_per_answer
+    assert doc["eligible_per_answer"] == report.eligible_per_answer
+    assert doc["dedication"] == {f"{a}:{i}": v for (a, i), v in report.dedication.items()}
+
+
+@pytest.mark.parametrize("command", ["compare", "model", "metrics"])
+@pytest.mark.parametrize("bad_steps", [[{"edu_indices": [0]}], ["action_AQ_assert_answer"]])
+def test_unreadable_trace_record_exit_1(tmp_path, command, bad_steps):
+    src = tmp_path / "traces.jsonl"
+    write_jsonl(src, [trace_record("a1", "q1", ["action_AQ_assert_answer"]),
+                      {"answer_id": "a2", "question_id": "q1", "steps": bad_steps}])
+    spaces_path = tmp_path / "spaces.jsonl"
+    write_jsonl(spaces_path, [InterpretationSpace(question_id="q1").to_dict()])
+    source = ["--corpora", str(src)] if command == "compare" else ["--in", str(src)]
+    extra = ["--spaces", str(spaces_path)] if command == "metrics" else []
+    result = invoke(command, *source, "--out", str(tmp_path / "o.json"), *extra)
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("error: line 2")
+
+
 def test_mimic_command(tmp_path):
     questions = tmp_path / "questions.jsonl"
     write_jsonl(questions, [{"post_id": "q1", "title": "Why is the sky blue?"}])
@@ -383,12 +471,14 @@ def test_help_lists_subcommands():
         assert name in result.output
 
 
-def test_cli_import_loads_no_scipy():
-    # Every subcommand pays the CLI's import time; scipy alone cost about 1 s.
+@pytest.mark.parametrize("module", ["scipy", "requests", "urllib3"])
+def test_cli_import_does_not_load(module):
+    # Every subcommand pays the CLI's import time: scipy alone cost about 1 s,
+    # and only live backends need the HTTP stack.
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     result = subprocess.run(
-        [sys.executable, "-c", "import discotrace.cli, sys; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", f"import discotrace.cli, sys; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert result.stdout.strip() == "False"

@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import json
 
 import pytest
@@ -210,6 +212,44 @@ def test_read_corpus_skips_blank_lines(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text('{"a": 1}\n\n   \n{"b": 2}\n')
     assert len(read_corpus(path)) == 2
+
+
+def test_read_corpus_applies_view(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_corpus(path, [{"a": 1, "extra": [2]}, {"a": 3}])
+    assert read_corpus(path, view=lambda doc: doc["a"]) == [1, 3]
+
+
+@pytest.mark.parametrize("bad", ['{"b": 1}', '{"a": null}'])
+def test_read_corpus_unreadable_record_names_its_line(tmp_path, bad):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"a": [1]}\n\n' + bad + "\n")
+    with pytest.raises(MalformedLine, match="line 3") as exc:
+        read_corpus(path, view=lambda doc: list(doc["a"]))  # KeyError, then TypeError
+    assert exc.value.line_number == 3
+
+
+def test_read_corpus_non_object_line(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"a": 1}\n[1, 2]\n')
+    with pytest.raises(MalformedLine) as exc:
+        read_corpus(path)
+    assert exc.value.line_number == 2
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text", ['{"a": 1}\n', '{"a": 1}\nnot json\n', '{"a": 1}\n{"b": 1}\n'])
+def test_read_corpus_restores_collector_state(tmp_path, enabled, text):
+    path = tmp_path / "c.jsonl"
+    path.write_text(text)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with contextlib.suppress(MalformedLine):
+            read_corpus(path, view=lambda doc: doc["a"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_raw_post_from_dict_defaults():

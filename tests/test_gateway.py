@@ -120,6 +120,19 @@ def test_append_fixture_keeps_the_cache_current(tmp_path, monkeypatch):
     assert len(reads) == 2
 
 
+def test_fixture_cache_drops_deleted_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(gateway, "_fixture_cache", {})
+    for i in range(20):
+        fixture = tmp_path / f"fixture{i}.jsonl"
+        append_fixture(fixture, "d", f"r{i}")
+        assert load_fixture(str(fixture)) == {"d": f"r{i}"}
+        fixture.unlink()
+    live = tmp_path / "live.jsonl"
+    append_fixture(live, "d", "live")
+    assert load_fixture(str(live)) == {"d": "live"}
+    assert list(gateway._fixture_cache) == [str(live)]
+
+
 def test_mock_replay(tmp_path):
     fixture = tmp_path / "fixture.jsonl"
     request = make_request()
@@ -265,7 +278,8 @@ def test_live_auth_header(stub_server, monkeypatch):
         captured.update(kwargs.get("headers") or {})
         return original(url, **kwargs)
 
-    monkeypatch.setattr("discotrace.gateway.requests.post", spy)
+    # The gateway imports requests on its first POST and looks up requests.post then.
+    monkeypatch.setattr(requests, "post", spy)
     complete(backend, make_request())
     assert captured["Authorization"] == "Bearer sekret"
 
