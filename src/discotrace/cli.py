@@ -1,10 +1,12 @@
 """Command-line entry point wiring the modules into batch workflows.
 
-Every subcommand reads and writes JSONL. The only randomness is the
-question draw of ``sample``, fixed by its --seed; with mock backends no
-subcommand performs network I/O, so runs replay byte-identically. Exit
-codes: 0 success (including degraded runs with diagnostics), 1 input
-error, 2 backend failure.
+Every subcommand reads and writes JSONL. The only randomness is the question draw
+of ``sample``, fixed by its --seed; with mock backends no subcommand performs
+network I/O, so runs replay byte-identically. Exit codes: 0 success (including
+degraded runs with diagnostics), 1 input error, 2 backend failure. ``interp``,
+``trace`` and ``mimic-answer`` run as many records at once as the smallest
+``max_in_flight`` of their backends, ``segment`` one at a time. After a failure,
+the output file holds the records that finished before the failing one.
 """
 
 from __future__ import annotations
@@ -53,6 +55,20 @@ def _load_config(path) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
     return PipelineConfig.from_file(path)
+
+
+def _run_batch(in_path, out_path, run_one, backends=()) -> list:
+    """Map ``run_one`` over ``in_path``'s records and write the results to ``out_path``
+    in input order; on a failure, those before the failing record. Each worker has one
+    call in flight, so there are as many as the smallest ``max_in_flight`` of ``backends``."""
+    records = corpus_io.read_corpus(in_path)
+    out_records = []
+    try:
+        with ThreadPoolExecutor(min((b.max_in_flight for b in backends), default=1)) as pool:
+            out_records.extend(pool.map(run_one, records))
+    finally:
+        corpus_io.write_corpus(out_path, out_records)
+    return out_records
 
 
 @click.group(cls=_ExitCodes)
@@ -111,20 +127,17 @@ def sample_cmd(in_path, out_path, n, seed):
 def segment_cmd(in_path, out_path, config_path):
     """Split each answer's discourse tree into action segments."""
     config = _load_config(config_path)
-    records = corpus_io.read_corpus(in_path)
-    out_records = []
-    for record in records:
+
+    def run_one(record):
         tree = parse_rst_tree(record["rst_tree"])
         segments = segment_answer(tree, config.boundary, answer_id=record["answer_id"])
-        out_records.append({
+        return {
             "answer_id": record["answer_id"],
             "question_id": record.get("question_id"),
-            "segments": [
-                {"edu_indices": list(s.edu_indices), "text": s.text}
-                for s in segments
-            ],
-        })
-    corpus_io.write_corpus(out_path, out_records)
+            "segments": [{"edu_indices": list(s.edu_indices), "text": s.text} for s in segments],
+        }
+
+    out_records = _run_batch(in_path, out_path, run_one)
     click.echo(f"segmented {len(out_records)} answers")
 
 
@@ -132,29 +145,28 @@ def segment_cmd(in_path, out_path, config_path):
 @click.option("--in", "in_path", required=True, help="Questions JSONL.")
 @click.option("--out", "out_path", required=True, help="Interpretation spaces JSONL.")
 @click.option("--config", "config_path", required=True)
-@click.option("--dedup-threshold", type=float, default=None)
-def interp_cmd(in_path, out_path, config_path, dedup_threshold):
+def interp_cmd(in_path, out_path, config_path):
     """Generate and deduplicate the interpretation space per question."""
     config = _load_config(config_path)
-    threshold = dedup_threshold if dedup_threshold is not None else config.dedup_threshold
     if not config.interp_generators or config.embedder is None:
         raise ValueError("config must define interp_generators and embedder")
-    records = corpus_io.read_corpus(in_path)
-    out_records = []
-    for record in records:
+
+    def run_one(record):
         space, warnings = build_space(
             question_id=record["post_id"],
             question=record["title"],
             community_context=record.get("community_context", ""),
             generator_backends=config.interp_generators,
             embedder=config.embedder,
-            threshold=threshold,
+            threshold=config.dedup_threshold,
         )
         doc = space.to_dict()
         if warnings:
             doc["warnings"] = warnings
-        out_records.append(doc)
-    corpus_io.write_corpus(out_path, out_records)
+        return doc
+
+    out_records = _run_batch(in_path, out_path, run_one,
+                             [*config.interp_generators, config.embedder])
     click.echo(f"built {len(out_records)} interpretation spaces")
 
 
@@ -170,10 +182,7 @@ def trace_cmd(in_path, questions_path, spaces_path, out_path, config_path):
     if config.act_labeler is None:
         raise ValueError("config must define act_labeler")
     ontology = load_ontology(config.ontology_path)
-    answers = corpus_io.read_corpus(in_path)
-    questions = {
-        r["post_id"]: r for r in corpus_io.read_corpus(questions_path)
-    }
+    questions = {r["post_id"]: r for r in corpus_io.read_corpus(questions_path)}
     spaces = _read_spaces(spaces_path) if spaces_path else {}
     labeler = config.interp_labeler or config.act_labeler
 
@@ -194,17 +203,22 @@ def trace_cmd(in_path, questions_path, spaces_path, out_path, config_path):
         )
         return trace.to_dict()
 
-    # Each worker has at most one call in flight, so neither backend's limit is exceeded.
-    workers = min(config.act_labeler.max_in_flight, labeler.max_in_flight)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        out_records = list(pool.map(run_one, answers))
-    corpus_io.write_corpus(out_path, out_records)
+    out_records = _run_batch(in_path, out_path, run_one, [config.act_labeler, labeler])
     n_diag = sum(len(r["diagnostics"]) for r in out_records)
     click.echo(f"traced {len(out_records)} answers ({n_diag} diagnostics)")
 
 
-def _act_ids(doc) -> list:
-    return [s["act_id"] for s in doc.get("steps", ())]
+def _act_id_view(ontology, view=None):
+    """A ``read_corpus`` view of a trace record's act ids, or of ``view(doc)``, that first
+    checks the ids against ``ontology``, so an unknown one names its line."""
+    known = frozenset(ontology.act_ids())
+
+    def read(doc):
+        ids = [s["act_id"] for s in doc.get("steps", ())]
+        if not known.issuperset(ids):
+            ontology.get(next(i for i in ids if i not in known))  # raises UnknownActId
+        return ids if view is None else view(doc)
+    return read
 
 
 def _read_spaces(path) -> dict:
@@ -239,7 +253,7 @@ def model_cmd(in_path, out_path, config_path, smoothing_flag, family_level):
     """Fit a bigram strategy model over act sequences."""
     config = _load_config(config_path)
     ontology = load_ontology(config.ontology_path)
-    traces = corpus_io.read_corpus(in_path, view=_act_ids)
+    traces = corpus_io.read_corpus(in_path, view=_act_id_view(ontology))
     smoothing = _smoothing_from_flag(smoothing_flag, config)
     sequences = project_families(traces, ontology) if family_level else traces
     model = fit_bigram(sequences, smoothing, vocabulary=_vocabulary(ontology, family_level))
@@ -267,11 +281,12 @@ def compare_cmd(corpora, out_path, json_out, long_csv_out, config_path,
     config = _load_config(config_path)
     ontology = load_ontology(config.ontology_path)
     smoothing = _smoothing_from_flag(smoothing_flag, config)
+    view = _act_id_view(ontology)
     named = {}
     for item in corpora:
         name, _, path = item.rpartition("=")
         name = name or Path(path).stem
-        traces = corpus_io.read_corpus(path, view=_act_ids)
+        traces = corpus_io.read_corpus(path, view=view)
         named[name] = project_families(traces, ontology) if family_level else traces
     matrix = cross_perplexity_matrix(named, smoothing,
                                      vocabulary=_vocabulary(ontology, family_level))
@@ -294,7 +309,7 @@ def metrics_cmd(in_path, spaces_path, out_path, config_path):
     """Coverage, dedication, and unmatched-rate aggregates."""
     config = _load_config(config_path)
     ontology = load_ontology(config.ontology_path)
-    traces = corpus_io.read_corpus(in_path, view=DiscoTrace.from_dict)
+    traces = corpus_io.read_corpus(in_path, view=_act_id_view(ontology, DiscoTrace.from_dict))
     spaces = _read_spaces(spaces_path)
     report = interpretation_metrics(traces, spaces, ontology)
     coverages = list(report.coverage.values())
@@ -330,9 +345,8 @@ def mimic_cmd(in_path, out_path, config_path, subreddit, explanation,
     if backend is None:
         raise ValueError("config must define answer_generator")
     guidelines = Path(guidelines_file).read_text()
-    records = corpus_io.read_corpus(in_path)
-    out_records = []
-    for record in records:
+
+    def run_one(record):
         request = build_mimic_prompt(
             question=record["title"],
             subreddit_name=subreddit,
@@ -341,12 +355,13 @@ def mimic_cmd(in_path, out_path, config_path, subreddit, explanation,
             model_name=backend.model,
             max_tokens=max_tokens,
         )
-        out_records.append({
+        return {
             "question_id": record["post_id"],
             "answer_text": complete(backend, request),
             "generator": backend.name,
-        })
-    corpus_io.write_corpus(out_path, out_records)
+        }
+
+    out_records = _run_batch(in_path, out_path, run_one, [backend])
     click.echo(f"generated {len(out_records)} mimic answers")
 
 

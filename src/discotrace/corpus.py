@@ -22,6 +22,7 @@ from .errors import (
     InsufficientPosts,
     MalformedLine,
     SchemaVersionMismatch,
+    UnknownActId,
     UnknownCommunity,
 )
 
@@ -260,7 +261,7 @@ def read_corpus(path, view=None) -> list:
                 if view is not None:
                     try:
                         record = view(record)
-                    except (KeyError, TypeError) as exc:
+                    except (KeyError, TypeError, UnknownActId) as exc:
                         raise MalformedLine(
                             number, f"unreadable record ({type(exc).__name__}: {exc})"
                         ) from exc

@@ -77,7 +77,8 @@ def request_digest(request: ChatRequest) -> str:
     """Stable SHA-256 digest of a chat request's canonical JSON form. "user" is
     its last key and JSON escapes one character at a time, so a request that
     still matches its ``head`` hashes only the rest of ``user``, on a copy of
-    the head's state."""
+    the head's state. Text is encoded with ``surrogatepass``: JSON input can carry
+    a lone surrogate."""
     head = request.head
     # Identity, not ==: 0.0 == -0.0 and 1 == 1.0 == True, yet each dumps differently.
     if (head is None or request.system is not head.system
@@ -85,20 +86,20 @@ def request_digest(request: ChatRequest) -> str:
             or request.temperature is not head.temperature
             or request.max_tokens is not head.max_tokens
             or not request.user.startswith(head.user)):
-        return hashlib.sha256(_canonical(request).encode("utf-8")).hexdigest()
+        return hashlib.sha256(_canonical(request).encode("utf-8", "surrogatepass")).hexdigest()
     if head.digest_state is None:  # the head's canonical form, less its closing '"}'
-        state = hashlib.sha256(_canonical(head)[:-2].encode("utf-8"))
+        state = hashlib.sha256(_canonical(head)[:-2].encode("utf-8", "surrogatepass"))
         object.__setattr__(head, "digest_state", state)
     state = head.digest_state.copy()
     tail = json.dumps(request.user[len(head.user):], ensure_ascii=False)
-    state.update((tail[1:] + "}").encode("utf-8"))
+    state.update((tail[1:] + "}").encode("utf-8", "surrogatepass"))
     return state.hexdigest()
 
 
 def text_digest(model: str, text: str) -> str:
     """Digest keying one embedding input in a mock fixture."""
     canonical = json.dumps({"model": model, "input": text}, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 _fixture_cache: dict[str, tuple[float, dict[str, str]]] = {}

@@ -16,8 +16,14 @@ from discotrace import (
     tag_answer,
 )
 from discotrace.cli import main
+from discotrace.config import PipelineConfig
+from discotrace.corpus import write_corpus
+from discotrace.gateway import append_fixture, request_digest, text_digest
 from discotrace.interpretations import Interpretation, InterpretationSpace
+from discotrace.interpretations import build_space
 from discotrace.pipeline import DiscoTrace, TraceStep
+from discotrace.pipeline import pair_interpretations
+from discotrace.prompts import build_interp_gen_prompt, build_mimic_prompt
 from discotrace.stats import (
     Smoothing,
     cross_perplexity_matrix,
@@ -404,7 +410,8 @@ def test_analyze_commands_equal_the_library_path(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["compare", "model", "metrics"])
-@pytest.mark.parametrize("bad_steps", [[{"edu_indices": [0]}], ["action_AQ_assert_answer"]])
+@pytest.mark.parametrize("bad_steps", [[{"edu_indices": [0]}], ["action_AQ_assert_answer"],
+                                       [{"act_id": "foo", "edu_indices": [0]}]])
 def test_unreadable_trace_record_exit_1(tmp_path, command, bad_steps):
     src = tmp_path / "traces.jsonl"
     write_jsonl(src, [trace_record("a1", "q1", ["action_AQ_assert_answer"]),
@@ -482,3 +489,169 @@ def test_cli_import_does_not_load(module):
         [sys.executable, "-c", f"import discotrace.cli, sys; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command, flags", [("compare", []), ("compare", ["--family-level"]),
+                                            ("model", []), ("model", ["--family-level"]),
+                                            ("metrics", [])])
+def test_unknown_act_id_names_its_line(tmp_path, command, flags):
+    src = tmp_path / "traces.jsonl"
+    write_jsonl(src, [trace_record("a1", "q1", ["action_AQ_assert_answer"]),
+                      trace_record("a2", "q1", ["action_AQ_assert_answer", "foo"])])
+    spaces_path = tmp_path / "spaces.jsonl"
+    write_jsonl(spaces_path, [InterpretationSpace(question_id="q1").to_dict()])
+    source = ["--corpora", str(src)] if command == "compare" else ["--in", str(src)]
+    extra = ["--spaces", str(spaces_path)] if command == "metrics" else []
+    result = invoke(command, *source, "--out", str(tmp_path / "o.json"), *extra, *flags)
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("error: line 2: ")
+    assert "unknown act id 'foo'" in result.stderr
+
+
+def record_trace_fixture(fixture, answers, space):
+    """Record mock responses for the requests ``trace`` makes for ``answers``."""
+    backend = BackendSpec(kind="mock", name="labeler", model="m", fixture_path=str(fixture))
+    ontology = load_ontology()
+
+    def responder(req):
+        if "action_id" in req.system:
+            return '[{"action_id": "action_AQ_assert_answer"}]'
+        return '[{"interpretation_id": "id_1"}]'
+
+    for answer in answers:
+        tree = parse_rst_tree(answer["rst_tree"])
+        segments = segment_answer(tree, BoundaryConfig(), answer_id=answer["answer_id"])
+
+        def run():
+            tagged, diags = tag_answer("Why is the sky blue?", answer["text"], segments,
+                                       tree, ontology, backend)
+            return pair_interpretations(
+                "Why is the sky blue?", space, tagged, answer["text"], ontology, backend,
+                answer_id=answer["answer_id"], question_id="q1", tree=tree, diagnostics=diags)
+
+        record_fixture_by_replay(str(fixture), run, responder)
+
+
+def test_trace_failure_keeps_the_finished_traces(tmp_path):
+    questions, answers, spaces_path, fixture, config_path, space = make_trace_inputs(tmp_path)
+    texts = ["It scatters light.", "Air molecules are small.", "Violet is absorbed."]
+    records = [{"answer_id": f"a{i}", "question_id": "q1", "text": text,
+                "rst_tree": {"edu": text}} for i, text in enumerate(texts)]
+    write_jsonl(answers, records)
+
+    def run(out):
+        return invoke("trace", "--in", str(answers), "--questions", str(questions),
+                      "--spaces", str(spaces_path), "--out", str(out),
+                      "--config", str(config_path))
+
+    record_trace_fixture(fixture, records[:2], space)
+    partial = tmp_path / "partial.jsonl"
+    result = run(partial)
+    assert result.exit_code == 2, result.output
+    record_trace_fixture(fixture, records[2:], space)
+    full = tmp_path / "full.jsonl"
+    assert run(full).exit_code == 0
+    lines = full.read_text().splitlines(keepends=True)
+    assert len(lines) == 3
+    assert partial.read_text() == "".join(lines[:2])
+
+
+def mimic_inputs(tmp_path, titles, backend):
+    questions = tmp_path / "questions.jsonl"
+    write_jsonl(questions, [{"post_id": f"q{i}", "title": t} for i, t in enumerate(titles)])
+    (tmp_path / "rules.md").write_text("Be thorough.")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"answer_generator": {"name": "gen", "model": "m",
+                                                            **backend}}))
+
+    def run(out):
+        return invoke("mimic-answer", "--in", str(questions), "--out", str(out),
+                      "--config", str(config_path), "--subreddit", "s",
+                      "--explanation", "e", "--guidelines-file", str(tmp_path / "rules.md"))
+    return run
+
+
+def test_mimic_failure_keeps_the_finished_answers(tmp_path):
+    titles = ["Why is the sky blue?", "Why is grass green?", "Why is snow white?"]
+    fixture = tmp_path / "gen.jsonl"
+    fixture.touch()
+    run = mimic_inputs(tmp_path, titles, {"kind": "mock", "fixture_path": "gen.jsonl"})
+
+    def record(title):
+        request = build_mimic_prompt(question=title, subreddit_name="s",
+                                     subreddit_explanation="e", guidelines="Be thorough.",
+                                     model_name="m", max_tokens=1000)
+        append_fixture(fixture, request_digest(request), f"Because of {title}")
+
+    for title in titles[:2]:
+        record(title)
+    partial = tmp_path / "partial.jsonl"
+    result = run(partial)
+    assert result.exit_code == 2, result.output
+    record(titles[2])
+    full = tmp_path / "full.jsonl"
+    assert run(full).exit_code == 0
+    lines = full.read_text().splitlines(keepends=True)
+    assert len(lines) == 3
+    assert partial.read_text() == "".join(lines[:2])
+
+
+def test_mimic_runs_max_in_flight_records_at_once(tmp_path):
+    titles = [f"Why does thing {i} happen?" for i in range(6)]
+
+    def respond(body):
+        user = body["messages"][1]["content"]
+        answer = next(f"Answer to {t}" for t in titles if t in user)
+        return 200, {"choices": [{"message": {"content": answer}}]}
+
+    with http_stub(respond, delay_s=0.05) as (endpoint, stats):
+        run = mimic_inputs(tmp_path, titles, {"kind": "live", "endpoint": endpoint,
+                                              "retry_limit": 0, "max_in_flight": 2})
+        out = tmp_path / "answers.jsonl"
+        result = run(out)
+    assert result.exit_code == 0, result.output
+    assert stats.posts == 6
+    assert stats.max_in_flight == 2
+    docs = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [d["question_id"] for d in docs] == [f"q{i}" for i in range(6)]
+    assert [d["answer_text"] for d in docs] == [f"Answer to {t}" for t in titles]
+
+
+def test_interp_command_equals_build_space_per_question(tmp_path):
+    titles = [f"Why does thing {i} happen?" for i in range(9)]
+    questions = tmp_path / "questions.jsonl"
+    write_jsonl(questions, [{"post_id": f"q{i}", "title": t} for i, t in enumerate(titles)])
+    fixture = tmp_path / "interp.jsonl"
+    fixture.touch()
+    mock = {"kind": "mock", "fixture_path": "interp.jsonl"}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "interp_generators": [{**mock, "name": "gen_a", "model": "ma"},
+                              {**mock, "name": "gen_b", "model": "mb"}],
+        "embedder": {**mock, "name": "embed", "model": "me"},
+        "dedup_threshold": 0.9,
+    }))
+    for i, title in enumerate(titles):
+        for k, model in enumerate(("ma", "mb")):
+            if (i, model) == (3, "mb"):
+                continue  # this generator misses, so the space carries a warning
+            texts = [f"Shared reading {i}", f"Reading {i} of {model}"]
+            request = build_interp_gen_prompt(title, "", model)
+            append_fixture(fixture, request_digest(request), f"1. {texts[0]}\n2. {texts[1]}")
+            append_fixture(fixture, text_digest("me", texts[0]), json.dumps([1.0, 0.0, 0.0]))
+            append_fixture(fixture, text_digest("me", texts[1]), json.dumps([0.1, k, 1 - k]))
+
+    out = tmp_path / "spaces.jsonl"
+    result = invoke("interp", "--in", str(questions), "--out", str(out),
+                    "--config", str(config_path))
+    assert result.exit_code == 0, result.output
+
+    config = PipelineConfig.from_file(config_path)
+    expected = []
+    for i, title in enumerate(titles):
+        space, warnings = build_space(f"q{i}", title, "", config.interp_generators,
+                                      config.embedder, config.dedup_threshold)
+        expected.append({**space.to_dict(), **({"warnings": warnings} if warnings else {})})
+    assert any("warnings" in doc for doc in expected)
+    write_corpus(tmp_path / "expected.jsonl", expected)
+    assert out.read_text() == (tmp_path / "expected.jsonl").read_text()

@@ -1,0 +1,24 @@
+"""The README tells users to run every script under demos/; each must exit 0."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_every_demo_is_found():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
+                            env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -30,7 +30,7 @@ def full_digest(request):
          "temperature": request.temperature, "max_tokens": request.max_tokens},
         sort_keys=True, ensure_ascii=False,
     )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 def test_digest_golden():
@@ -71,6 +71,17 @@ def test_head_digest_equals_full_digest(system, user, other_tail, split, max_tok
         request = head.request(tail)
         assert request_digest(request) == full_digest(request)
     assert head.digest_state is not None
+
+
+def test_lone_surrogate_digests():
+    # JSON input can carry one: json.loads('"\\ud800"') is a lone surrogate.
+    lone = json.loads('"\\ud800"')
+    for user, split in ((f"Q{lone}?\n", 2), (f"Q?\n{lone}", 3)):  # in the head, in the tail
+        head = PromptHead(f"sys {lone}", user[:split], "model", 0.0, 7)
+        request = head.request(user[split:])
+        assert request_digest(request) == full_digest(request)
+        assert request_digest(dataclasses.replace(request, head=None)) == full_digest(request)
+    assert text_digest("m", lone) != text_digest("m", "\udc00")
 
 
 def test_mismatched_head_falls_back_to_full_digest():
