@@ -37,7 +37,7 @@ from .stats import (
 )
 
 _BACKEND_ERRORS = (TransportError, AuthError, FixtureMiss)
-_INPUT_ERRORS = (FileNotFoundError, KeyError, ValueError)
+_INPUT_ERRORS = (OSError, KeyError, ValueError)
 
 
 class _ExitCodes(click.Group):

@@ -273,9 +273,13 @@ def read_corpus(path, view=None) -> list:
 
 
 def write_corpus(path, records: list[dict]) -> None:
-    """Write records as JSONL, stamping schema_version when absent."""
+    """Write records as JSONL, stamping schema_version when absent. A record
+    UTF-8 cannot encode (JSON input may carry a lone surrogate) is escaped."""
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
             if "schema_version" not in record:
                 record = {"schema_version": SCHEMA_VERSION, **record}
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            try:
+                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            except UnicodeEncodeError:  # encoding fails before anything is written
+                handle.write(json.dumps(record) + "\n")

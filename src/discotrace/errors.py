@@ -51,15 +51,15 @@ class UnparsableResponse(DiscoTraceError):
     """Model output could not be parsed into the expected structure."""
 
 
-class InvalidActId(DiscoTraceError):
+class InvalidActId(UnparsableResponse):
     pass
 
 
-class IndexOutOfRange(DiscoTraceError):
+class IndexOutOfRange(UnparsableResponse):
     pass
 
 
-class MixedForm(DiscoTraceError):
+class MixedForm(UnparsableResponse):
     """Response mixes whole-segment and per-subsegment assignment forms."""
 
 

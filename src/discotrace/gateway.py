@@ -1,8 +1,9 @@
 """HTTP chat-completion and embedding backends, plus a mock replay backend.
 
-This is the only module that performs network I/O. Live backends speak an
-OpenAI-style wire format with a configurable auth header and response
-content path, and retry transient failures with exponential backoff. Mock
+This is the only module that performs network I/O or asks a request again.
+Live backends speak an OpenAI-style wire format with a configurable auth
+header and response content path, retry transient failures with exponential
+backoff, and re-ask a reply that fails to parse (:func:`ask`). Mock
 backends replay recorded fixtures: JSONL lines of
 ``{"request_digest": ..., "response_text": ...}`` keyed by a SHA-256
 digest of the request's canonical JSON, so replays are deterministic and
@@ -15,11 +16,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import AuthError, EmbeddingDimensionMismatch, FixtureMiss, TransportError
+from .errors import (
+    AuthError, EmbeddingDimensionMismatch, FixtureMiss, TransportError, UnparsableResponse,
+)
 from .prompts import ChatRequest
 
 DEFAULT_CONTENT_PATH = ("choices", 0, "message", "content")
@@ -103,45 +107,52 @@ def text_digest(model: str, text: str) -> str:
 
 
 _fixture_cache: dict[str, tuple[float, dict[str, str]]] = {}
+_fixture_lock = threading.Lock()  # held to read a fixture file or change the cache
 
 
 def load_fixture(path: str) -> dict[str, str]:
     """Load (and cache by the path as given, until its mtime changes) a
-    fixture file mapping digest -> response text. Each read also drops the
-    cached files that no longer exist."""
+    fixture file mapping digest -> response text. Threads that miss the
+    cache together read the file once. Each read also drops the cached
+    files that no longer exist."""
     key = os.fspath(path)
     mtime = os.path.getmtime(key)
     cached = _fixture_cache.get(key)
-    if cached is not None and cached[0] == mtime:
-        return cached[1]
-    for other in list(_fixture_cache):  # a snapshot: other threads may insert
-        if not os.path.exists(other):
-            _fixture_cache.pop(other, None)
-    entries = {}
-    with open(key, encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            entries[record["request_digest"]] = record["response_text"]
-    _fixture_cache[key] = (mtime, entries)
-    return entries
+    if cached is None or cached[0] != mtime:
+        with _fixture_lock:
+            cached = _fixture_cache.get(key)
+            if cached is None or cached[0] != mtime:
+                for other in list(_fixture_cache):
+                    if not os.path.exists(other):
+                        del _fixture_cache[other]
+                with open(key, encoding="utf-8") as handle:
+                    records = (json.loads(line) for line in handle if line.strip())
+                    entries = {r["request_digest"]: r["response_text"] for r in records}
+                cached = _fixture_cache[key] = (mtime, entries)
+    return cached[1]
 
 
 def append_fixture(path: str, digest: str, response_text: str) -> None:
     """Record one response in a fixture file (test/recording helper). A cached
     copy that was current before the append takes the new entry in place."""
     key = os.fspath(path)
-    with open(key, "a", encoding="utf-8") as handle:
-        before = os.fstat(handle.fileno()).st_mtime
-        handle.write(json.dumps(
-            {"request_digest": digest, "response_text": response_text},
-            ensure_ascii=False,
-        ) + "\n")
-    cached = _fixture_cache.pop(key, None)
-    if cached is not None and cached[0] == before:
-        cached[1][digest] = response_text
-        _fixture_cache[key] = (os.path.getmtime(key), cached[1])
+    with _fixture_lock:
+        with open(key, "a", encoding="utf-8") as handle:
+            before = os.fstat(handle.fileno()).st_mtime
+            handle.write(json.dumps(
+                {"request_digest": digest, "response_text": response_text},
+                ensure_ascii=False,
+            ) + "\n")
+        cached = _fixture_cache.pop(key, None)
+        if cached is not None and cached[0] == before:
+            cached[1][digest] = response_text
+            _fixture_cache[key] = (os.path.getmtime(key), cached[1])
+
+
+def _mock_entries(backend: BackendSpec) -> dict[str, str]:
+    if not backend.fixture_path:
+        raise ValueError("mock backend requires fixture_path")
+    return load_fixture(backend.fixture_path)
 
 
 def _auth_headers(backend: BackendSpec) -> dict[str, str]:
@@ -195,9 +206,7 @@ def _post_with_retries(backend: BackendSpec, body: dict):
 def complete(backend: BackendSpec, request: ChatRequest) -> str:
     """Return the assistant text for a chat request."""
     if backend.kind == "mock":
-        if not backend.fixture_path:
-            raise ValueError("mock backend requires fixture_path")
-        entries = load_fixture(backend.fixture_path)
+        entries = _mock_entries(backend)
         digest = request_digest(request)
         if digest not in entries:
             raise FixtureMiss(digest, request=request)
@@ -220,12 +229,31 @@ def complete(backend: BackendSpec, request: ChatRequest) -> str:
         raise TransportError(f"response missing content at {backend.content_path}") from exc
 
 
+def ask(backend: BackendSpec, request: ChatRequest, parse):
+    """Complete and parse one request; returns (parsed, None) or (None, (kind, message)).
+
+    Only a live backend asks again, and only when a reply fails to parse, up
+    to ``retry_limit`` times: a mock replays the same reply, and ``complete``
+    has spent the retries on a transport failure. The message ends with the
+    attempt budget. A failure keeps only its message: its traceback would
+    keep the caller's frames, and so the whole answer, in a reference cycle.
+    """
+    attempts = backend.retry_limit + 1
+    for _ in range(attempts if backend.kind == "live" else 1):
+        try:
+            return parse(complete(backend, request)), None
+        except UnparsableResponse as exc:
+            failure = ("parse", str(exc))
+        except TransportError as exc:
+            failure = ("transport", str(exc))
+            break
+    return None, (failure[0], f"{failure[1]} after {attempts} attempts")
+
+
 def embed(backend: BackendSpec, texts: list[str]) -> list[list[float]]:
     """Return one fixed-dimension vector per input text."""
     if backend.kind == "mock":
-        if not backend.fixture_path:
-            raise ValueError("mock backend requires fixture_path")
-        entries = load_fixture(backend.fixture_path)
+        entries = _mock_entries(backend)
         vectors = []
         for text in texts:
             digest = text_digest(backend.model, text)

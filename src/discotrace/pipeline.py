@@ -6,8 +6,8 @@ split an action segment at EDU granularity; contiguous equal labels are
 merged so no two adjacent tagged segments share an act. Per-segment
 failures degrade to NONE with a diagnostic rather than aborting the
 answer (a mock fixture miss is a configuration error and still raises).
-The gateway retries transport failures; this module re-asks only when a
-reply cannot be parsed.
+Each request goes through :func:`gateway.ask`, which alone decides how
+often it is asked and words the failure message a diagnostic quotes.
 """
 
 from __future__ import annotations
@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import gateway
-from .errors import (
-    TransportError,
-    UnknownInterpretationId,
-    UnparsableResponse,
-    InvalidActId,
-    IndexOutOfRange,
-    MixedForm,
-)
+from .errors import UnknownInterpretationId
 from .gateway import BackendSpec
 from .interpretations import InterpretationSpace
 from .ontology import NONE_ACT_ID, Ontology, is_eligible
@@ -35,8 +28,6 @@ from .prompts import (
 )
 from .rst import RstTree
 from .segmentation import ActionSegment
-
-_PARSE_ERRORS = (UnparsableResponse, InvalidActId, IndexOutOfRange, MixedForm)
 
 
 @dataclass
@@ -96,25 +87,6 @@ class DiscoTrace:
         )
 
 
-def _ask(backend: BackendSpec, request, parse):
-    """Complete and parse one request; returns (parsed, None) or (None, (kind, message)).
-
-    The gateway has already spent ``retry_limit`` retries on a transport
-    failure, so that degrades at once; only a reply that fails to parse is
-    asked again, up to ``retry_limit`` times. A failure keeps only its
-    message: the exception's traceback reaches back to the caller's frames,
-    so holding it would keep the whole answer in a reference cycle.
-    """
-    for _ in range(backend.retry_limit + 1):
-        try:
-            return parse(gateway.complete(backend, request)), None
-        except _PARSE_ERRORS as exc:
-            failure = ("parse", str(exc))
-        except TransportError as exc:
-            return None, ("transport", str(exc))
-    return None, failure
-
-
 def tag_answer(
     question: str,
     answer_text: str,
@@ -145,17 +117,14 @@ def tag_answer(
             head=head,
         )
         head = request.head
-        assignments, failure = _ask(
+        assignments, failure = gateway.ask(
             backend, request, lambda raw: parse_act_response(raw, ontology, len(subsegments))
         )
         if failure is not None:
-            kind, message = failure
             diagnostics.append(
-                f"{kind} failure on segment {segment.edu_indices}: {message} after "
-                f"{backend.retry_limit + 1} attempts; assigned NONE "
-                f"(request digest {gateway.request_digest(request)})"
+                f"{failure[0]} failure on segment {segment.edu_indices}: {failure[1]}; "
+                f"assigned NONE (request digest {gateway.request_digest(request)})"
             )
-            assignments = []
 
         pieces = _assignments_to_pieces(segment, assignments)
         for indices, act_id in pieces:
@@ -239,19 +208,15 @@ def pair_interpretations(
             )
             head = request.head
             try:
-                interpretation_id, failure = _ask(
+                interpretation_id, failure = gateway.ask(
                     backend, request, lambda raw: parse_interp_label(raw, known_ids)
                 )
             except UnknownInterpretationId as exc:
+                failure = ("unknown id", str(exc))
+            if failure is not None:
                 trace.diagnostics.append(
-                    f"segment {segment.edu_indices}: {exc}; treated as NONE"
+                    f"segment {segment.edu_indices}: {failure[1]}; treated as NONE"
                 )
-            else:
-                if failure is not None:
-                    trace.diagnostics.append(
-                        f"segment {segment.edu_indices}: {failure[1]} after "
-                        f"{backend.retry_limit + 1} attempts; treated as NONE"
-                    )
         trace.steps.append(TraceStep(
             act_id=segment.act_id,
             edu_indices=segment.edu_indices,

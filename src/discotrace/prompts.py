@@ -235,7 +235,7 @@ def build_interp_gen_prompt(
     temperature: float = DEFAULT_TEMPERATURE,
 ) -> ChatRequest:
     """Build the interpretation-generation request for one question."""
-    if not question.strip():
+    if not isinstance(question, str) or not question.strip():
         raise ValueError("question must be non-empty")
     context_block = f"\n{community_context}\n" if community_context else ""
     return ChatRequest(

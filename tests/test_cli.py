@@ -17,7 +17,7 @@ from discotrace import (
 )
 from discotrace.cli import main
 from discotrace.config import PipelineConfig
-from discotrace.corpus import write_corpus
+from discotrace.corpus import read_corpus, write_corpus
 from discotrace.gateway import append_fixture, request_digest, text_digest
 from discotrace.interpretations import Interpretation, InterpretationSpace
 from discotrace.interpretations import build_space
@@ -133,6 +133,41 @@ def test_missing_input_file_exit_1(tmp_path, command):
     assert result.exit_code == 1, result.output
     assert result.stderr.startswith("error:")
     assert "nope.jsonl" in result.stderr
+
+
+def test_segment_writes_a_lone_surrogate_it_read(tmp_path):
+    src = tmp_path / "answers.jsonl"
+    src.write_text('{"answer_id": "a1", "question_id": "q1", '
+                   '"rst_tree": {"edu": "bad \\ud800 edu"}}\n', encoding="utf-8")
+    out = tmp_path / "segments.jsonl"
+    result = invoke("segment", "--in", str(src), "--out", str(out))
+    assert result.exit_code == 0, result.output
+    [record] = read_corpus(out)
+    assert [s["text"] for s in record["segments"]] == ["bad \ud800 edu"]
+
+
+def test_segment_output_into_a_directory_exit_1(tmp_path):
+    src = tmp_path / "answers.jsonl"
+    write_jsonl(src, [{"answer_id": "a1", "question_id": "q1", "rst_tree": {"edu": "e"}}])
+    result = invoke("segment", "--in", str(src), "--out", str(tmp_path))
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("title", [None, 7, "  "])
+def test_interp_rejects_a_question_that_is_not_text(tmp_path, title):
+    questions = tmp_path / "questions.jsonl"
+    write_jsonl(questions, [{"post_id": "q1", "title": title}])
+    (tmp_path / "fixture.jsonl").touch()
+    mock = {"kind": "mock", "fixture_path": "fixture.jsonl"}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"interp_generators": [mock], "embedder": mock}))
+    result = invoke("interp", "--in", str(questions), "--out", str(tmp_path / "o.jsonl"),
+                    "--config", str(config))
+    assert result.exit_code == 1, result.output
+    assert result.stderr == "error: question must be non-empty\n"
+    assert "Traceback" not in result.output
 
 
 def make_trace_inputs(tmp_path):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -129,6 +130,35 @@ def test_append_fixture_keeps_the_cache_current(tmp_path, monkeypatch):
     append_fixture(fixture, "d40", "r40")
     assert load_fixture(str(fixture))["x"] == "y"
     assert len(reads) == 2
+
+
+def test_workers_missing_the_cache_together_read_the_fixture_once(tmp_path, monkeypatch):
+    fixture = tmp_path / "fixture.jsonl"
+    fixture.write_text(json.dumps({"request_digest": "d", "response_text": "r"}) + "\n")
+    monkeypatch.setattr(gateway, "_fixture_cache", {})
+    reads = []
+
+    def slow_counting_open(path, mode="r", *args, **kwargs):
+        reads.append(path)
+        time.sleep(0.05)  # hold the read open while the other threads arrive
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(gateway, "open", slow_counting_open, raising=False)
+    barrier = threading.Barrier(8)
+    results = []
+
+    def load():
+        barrier.wait()
+        results.append(load_fixture(str(fixture)))
+
+    threads = [threading.Thread(target=load) for _ in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert reads == [str(fixture)]
+    assert len(results) == 8 and all(entries is results[0] for entries in results)
+    assert results[0] == {"d": "r"}
 
 
 def test_fixture_cache_drops_deleted_files(tmp_path, monkeypatch):

@@ -338,3 +338,59 @@ def test_outage_pairing_posts_retry_limit_plus_one(tmp_path, monkeypatch):
         "segment (0,): exhausted 3 retries: backend returned 503 after 4 attempts; "
         "treated as NONE"
     ]
+
+
+def test_mock_asks_an_unparsable_reply_once(tmp_path, monkeypatch):
+    # A mock replays the same reply for the same digest, so asking again is waste;
+    # the diagnostic still states the backend's attempt budget.
+    from discotrace import gateway
+
+    doc = node("Contrast", "NN", leaf("first part"), leaf("second part"))
+    tree = parse_rst_tree(doc)
+    segments = segment_answer(tree, BoundaryConfig())
+    backend = mock_backend(tmp_path, retry_limit=3)
+
+    def run():
+        return tag_answer("Q?", "first part second part", segments, tree, load_ont(), backend)
+
+    record_fixture_by_replay(backend.fixture_path, run, lambda req: "utter garbage")
+    requests, complete = [], gateway.complete
+    monkeypatch.setattr(gateway, "complete", lambda b, r: requests.append(r) or complete(b, r))
+    tagged, diagnostics = run()
+    assert len(requests) == len(segments) == 2
+    assert [t.act_id for t in tagged] == ["NONE"]
+    assert diagnostics == [
+        f"parse failure on segment ({index},): not valid JSON: Expecting value: line 1 "
+        f"column 1 (char 0) after 4 attempts; assigned NONE "
+        f"(request digest {request_digest(request)})"
+        for index, request in enumerate(requests)
+    ]
+
+
+def _chat_reply(text):
+    return 200, {"choices": [{"message": {"content": text}}]}
+
+
+def test_live_unparsable_reply_is_asked_again():
+    replies = iter(["utter garbage", single_act("action_AQ_assert_answer")])
+    tree = parse_rst_tree({"edu": "hello there"})
+    with http_stub(lambda body: _chat_reply(next(replies))) as (endpoint, stats):
+        backend = BackendSpec(kind="live", endpoint=endpoint, retry_limit=3)
+        tagged, diagnostics = tag_answer(
+            "Q?", "hello there", segment_answer(tree), tree, load_ont(), backend)
+    assert stats.posts == 2
+    assert [t.act_id for t in tagged] == ["action_AQ_assert_answer"]
+    assert diagnostics == []
+
+
+def test_live_reply_that_never_parses_spends_the_attempt_budget():
+    tree = parse_rst_tree({"edu": "hello there"})
+    with http_stub(lambda body: _chat_reply("utter garbage")) as (endpoint, stats):
+        backend = BackendSpec(kind="live", endpoint=endpoint, retry_limit=2)
+        tagged, diagnostics = tag_answer(
+            "Q?", "hello there", segment_answer(tree), tree, load_ont(), backend)
+    assert stats.posts == 3
+    assert [t.act_id for t in tagged] == ["NONE"]
+    assert len(diagnostics) == 1
+    assert diagnostics[0].startswith("parse failure on segment (0,): not valid JSON")
+    assert " after 3 attempts; assigned NONE (request digest " in diagnostics[0]
