@@ -60,8 +60,10 @@ def _load_config(path) -> PipelineConfig:
 def _run_batch(in_path, out_path, run_one, backends=()) -> list:
     """Map ``run_one`` over ``in_path``'s records and write the results to ``out_path``
     in input order; on a failure, those before the failing record. Each worker has one
-    call in flight, so there are as many as the smallest ``max_in_flight`` of ``backends``."""
+    call in flight, so there are as many as the smallest ``max_in_flight`` of ``backends``.
+    ``out_path`` is truncated before any record runs, so an unwritable one costs no work."""
     records = corpus_io.read_corpus(in_path)
+    open(out_path, "w").close()
     out_records = []
     try:
         with ThreadPoolExecutor(min((b.max_in_flight for b in backends), default=1)) as pool:
@@ -182,12 +184,16 @@ def trace_cmd(in_path, questions_path, spaces_path, out_path, config_path):
     if config.act_labeler is None:
         raise ValueError("config must define act_labeler")
     ontology = load_ontology(config.ontology_path)
-    questions = {r["post_id"]: r for r in corpus_io.read_corpus(questions_path)}
+    questions = dict(corpus_io.read_corpus(questions_path,
+                                           view=lambda r: (r["post_id"], r["title"])))
     spaces = _read_spaces(spaces_path) if spaces_path else {}
     labeler = config.interp_labeler or config.act_labeler
 
     def run_one(record):
-        question = questions[record["question_id"]]["title"]
+        if record["question_id"] not in questions:
+            raise ValueError(f"answer {record['answer_id']!r}: question_id "
+                             f"{record['question_id']!r} is not in --questions")
+        question = questions[record["question_id"]]
         tree = parse_rst_tree(record["rst_tree"])
         segments = segment_answer(tree, config.boundary, answer_id=record["answer_id"])
         tagged, diagnostics = tag_answer(

@@ -2,10 +2,10 @@
 persistence.
 
 Filtering keeps only information-seeking questions with enough surviving
-answers. The word/phrase lists and the multiple-question and deixis
-heuristics are editable configuration, not fixed contracts. Profanity is
-consumed as a precomputed per-post probability; posts without a score are
-kept but flagged.
+answers. Each post is tallied under the first rule of ``_RULES`` it fails;
+the word/phrase lists and the multiple-question heuristic are editable
+configuration, not fixed contracts. Profanity is consumed as a precomputed
+per-post probability; posts without a score are kept but flagged.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     InsufficientPosts,
@@ -41,8 +41,6 @@ RELATIONSHIP_TERMS = (
 )
 
 FIRST_PERSON = ("i", "i'm", "i've", "i'd", "i'll", "me", "my", "mine", "we", "our", "us")
-
-DEICTIC = ("this", "that", "these", "those", "here", "there")
 
 DEFAULT_MIN_COMMENTS = {"ScienceBasedParenting": 4}
 
@@ -107,75 +105,42 @@ class FilterConfig:
     validation_phrases: tuple = VALIDATION_PHRASES
     relationship_terms: tuple = RELATIONSHIP_TERMS
     first_person: tuple = FIRST_PERSON
-    deictic: tuple = DEICTIC
 
 
-def _is_interrogative(title: str, config: FilterConfig) -> bool:
-    if title.rstrip().endswith("?"):
-        return True
-    words = set(re.findall(r"[\w']+", title.lower()))
-    return any(wh in words for wh in config.wh_words)
+class _Title(NamedTuple):
+    """A post's title as given, lowered, and as the set of its lowered words."""
+    text: str
+    lowered: str
+    words: set
 
 
-def _multiple_statements(title: str) -> bool:
-    stripped = title.strip()
-    if stripped.count("?") > 1:
-        return True
-    # Sentence-final punctuation followed by more text.
-    return bool(re.search(r"[.!?]\s+\S", stripped))
+_WORD_RE = re.compile(r"[\w']+")
+_SENTENCE_THEN_TEXT_RE = re.compile(r"[.!?]\s+\S")
 
-
-def _word_present(title: str, words) -> bool:
-    found = set(re.findall(r"[\w']+", title.lower()))
-    return any(w in found for w in words)
-
-
-def _phrase_present(title: str, phrases) -> bool:
-    lowered = title.lower()
-    return any(p in lowered for p in phrases)
-
-
-#: Rejection rule names in application order.
-FILTER_RULES = (
-    "empty_title",
-    "low_score",
-    "short_title",
-    "not_interrogative",
-    "reddit_term",
-    "multiple_questions",
-    "profanity",
-    "first_person",
-    "relationship_term",
-    "deixis_first_person",
-    "validation_seeking",
+#: (rule name, predicate(post, title, config) true when the post fails the rule),
+#: in application order.
+_RULES = (
+    ("empty_title", lambda p, t, c: not t.text.strip()),
+    ("low_score", lambda p, t, c: p.score < c.min_post_score),
+    # Counted on the title as given: "\u0130".lower() is two code points, the second no
+    # word character, so lowering can change the count.
+    ("short_title", lambda p, t, c: len(_WORD_RE.findall(t.text)) < c.min_title_tokens),
+    ("not_interrogative",
+     lambda p, t, c: not t.text.rstrip().endswith("?") and t.words.isdisjoint(c.wh_words)),
+    ("reddit_term", lambda p, t, c: not t.words.isdisjoint(c.reddit_terms)),
+    # Two question marks, or sentence-final punctuation followed by more text. Stripping
+    # the title first would change neither: strip() removes exactly what \s matches.
+    ("multiple_questions",
+     lambda p, t, c: t.text.count("?") > 1 or _SENTENCE_THEN_TEXT_RE.search(t.text) is not None),
+    ("profanity",
+     lambda p, t, c: p.profanity_prob is not None and p.profanity_prob > c.profanity_threshold),
+    ("first_person", lambda p, t, c: not t.words.isdisjoint(c.first_person)),
+    ("relationship_term", lambda p, t, c: any(x in t.lowered for x in c.relationship_terms)),
+    ("validation_seeking", lambda p, t, c: any(x in t.lowered for x in c.validation_phrases)),
 )
 
-
-def _first_failing_rule(post: RawPost, config: FilterConfig) -> Optional[str]:
-    title = post.title or ""
-    if not title.strip():
-        return "empty_title"
-    if post.score < config.min_post_score:
-        return "low_score"
-    if len(re.findall(r"[\w']+", title)) < config.min_title_tokens:
-        return "short_title"
-    if not _is_interrogative(title, config):
-        return "not_interrogative"
-    if _word_present(title, config.reddit_terms):
-        return "reddit_term"
-    if _multiple_statements(title):
-        return "multiple_questions"
-    if post.profanity_prob is not None and post.profanity_prob > config.profanity_threshold:
-        return "profanity"
-    if _word_present(title, config.first_person):
-        return "first_person"
-    if _phrase_present(title, config.relationship_terms):
-        return "relationship_term"
-    if _word_present(title, config.deictic) and _word_present(title, config.first_person):
-        return "deixis_first_person"
-    if _phrase_present(title, config.validation_phrases):
-        return "validation_seeking"
-    return None
+#: Rejection rule names in application order.
+FILTER_RULES = tuple(name for name, _ in _RULES)
 
 
 def filter_posts(
@@ -193,7 +158,10 @@ def filter_posts(
     tally = {rule: 0 for rule in FILTER_RULES}
     tally["missing_profanity_score"] = 0
     for post in posts:
-        rule = _first_failing_rule(post, config)
+        text = post.title or ""
+        lowered = text.lower()
+        title = _Title(text, lowered, set(_WORD_RE.findall(lowered)))
+        rule = next((name for name, fails in _RULES if fails(post, title, config)), None)
         if rule is None:
             if post.profanity_prob is None:
                 tally["missing_profanity_score"] += 1

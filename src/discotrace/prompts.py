@@ -208,7 +208,6 @@ def build_act_prompt(
     subsegments: list[str],
     ontology: Ontology,
     model_name: str,
-    temperature: float = DEFAULT_TEMPERATURE,
     head: Optional[PromptHead] = None,
 ) -> ChatRequest:
     """Build the discourse-act tagging request for one segment. ``head`` may be
@@ -218,7 +217,7 @@ def build_act_prompt(
     if head is None:
         head = PromptHead(ACT_TAGGING_SYSTEM.format(ontology=render_ontology(ontology)),
                           ACT_TAGGING_USER_HEAD.format(question=question, answer=answer),
-                          model_name, temperature)
+                          model_name)
     numbered = "\n".join(f"{i}: {text}" for i, text in enumerate(subsegments))
     return head.request(ACT_TAGGING_USER_TAIL.format(
         prev_label=prev_label if prev_label is not None else NO_PREVIOUS_SEGMENT,
@@ -232,7 +231,6 @@ def build_interp_gen_prompt(
     question: str,
     community_context: str,
     model_name: str,
-    temperature: float = DEFAULT_TEMPERATURE,
 ) -> ChatRequest:
     """Build the interpretation-generation request for one question."""
     if not isinstance(question, str) or not question.strip():
@@ -242,7 +240,6 @@ def build_interp_gen_prompt(
         system=INTERP_GEN_SYSTEM.format(subreddit_context=context_block),
         user=INTERP_GEN_USER.format(question=question),
         model_name=model_name,
-        temperature=temperature,
     )
 
 
@@ -253,7 +250,6 @@ def build_interp_label_prompt(
     segment: str,
     act_label: str,
     model_name: str,
-    temperature: float = DEFAULT_TEMPERATURE,
     head: Optional[PromptHead] = None,
 ) -> ChatRequest:
     """Build the interpretation-labeling request for one tagged segment;
@@ -261,7 +257,7 @@ def build_interp_label_prompt(
     if head is None:
         rendered = "\n".join(f"{iid}: {text}" for iid, text in interpretations.items())
         head = PromptHead(INTERP_LABEL_SYSTEM, INTERP_LABEL_USER_HEAD.format(
-            question=question, interpretations=rendered, answer=answer), model_name, temperature)
+            question=question, interpretations=rendered, answer=answer), model_name)
     return head.request(INTERP_LABEL_USER_TAIL.format(segment=segment, action_label=act_label))
 
 
@@ -271,7 +267,6 @@ def build_mimic_prompt(
     subreddit_explanation: str,
     guidelines: str,
     model_name: str,
-    temperature: float = DEFAULT_TEMPERATURE,
     max_tokens: Optional[int] = None,
 ) -> ChatRequest:
     """Build the community-mimicking answer-generation request."""
@@ -291,7 +286,6 @@ def build_mimic_prompt(
         ),
         user=MIMIC_USER.format(question=question),
         model_name=model_name,
-        temperature=temperature,
         max_tokens=max_tokens,
     )
 

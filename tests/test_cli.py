@@ -15,6 +15,8 @@ from discotrace import (
     segment_answer,
     tag_answer,
 )
+from discotrace import corpus as corpus_io
+from discotrace import gateway
 from discotrace.cli import main
 from discotrace.config import PipelineConfig
 from discotrace.corpus import read_corpus, write_corpus
@@ -65,6 +67,21 @@ def test_filter_command(tmp_path):
     assert [r["post_id"] for r in kept] == ["p1"]
     tally = json.loads(tally_out.read_text())
     assert tally["first_person"] == 1
+
+
+def test_filter_drops_a_post_outside_its_comment_count_bounds(tmp_path):
+    raw = tmp_path / "raw.jsonl"
+    write_jsonl(raw, [
+        {"post_id": f"p{n}", "title": "Why did the Roman Empire split in two?", "score": 10,
+         "community": "AskHistorians", "profanity_prob": 0.0,
+         "comments": [{"comment_id": f"c{i}", "text": "t", "score": 3} for i in range(n)]}
+        for n in (6, 13)  # AskHistorians keeps 5 to 12 comments
+    ])
+    out, tally_out = tmp_path / "kept.jsonl", tmp_path / "tally.json"
+    result = invoke("filter", "--in", str(raw), "--out", str(out), "--tally-out", str(tally_out))
+    assert result.exit_code == 0, result.output
+    assert [r["post_id"] for r in read_corpus(out)] == ["p6"]
+    assert json.loads(tally_out.read_text())["comment_count_bounds"] == 1
 
 
 def test_sample_command_deterministic(tmp_path):
@@ -246,6 +263,68 @@ def test_trace_command_end_to_end(tmp_path):
     assert out.read_text() == out2.read_text()
 
 
+def count_complete_calls(monkeypatch):
+    """A list that collects every later ``gateway.complete`` call in this process."""
+    calls = []
+    real = gateway.complete
+    monkeypatch.setattr(gateway, "complete", lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def test_trace_output_into_a_directory_fails_before_any_call(tmp_path, monkeypatch):
+    questions, answers, spaces_path, fixture, config_path, space = make_trace_inputs(tmp_path)
+    seed_trace_fixture(fixture, space)
+    complete_calls = count_complete_calls(monkeypatch)
+    result = invoke("trace", "--in", str(answers), "--questions", str(questions),
+                    "--spaces", str(spaces_path), "--out", str(tmp_path),
+                    "--config", str(config_path))
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("error:")
+    assert complete_calls == []
+
+
+def test_trace_question_without_title_fails_before_any_call(tmp_path, monkeypatch):
+    questions, answers, spaces_path, fixture, config_path, space = make_trace_inputs(tmp_path)
+    seed_trace_fixture(fixture, space)
+    write_jsonl(questions, [{"post_id": "q0", "title": "Why?"}, {"post_id": "q1"}])
+    out = tmp_path / "traces.jsonl"
+    out.write_text("kept\n")
+    complete_calls = count_complete_calls(monkeypatch)
+    result = invoke("trace", "--in", str(answers), "--questions", str(questions),
+                    "--out", str(out), "--config", str(config_path))
+    assert result.exit_code == 1, result.output
+    assert result.stderr == "error: line 2: unreadable record (KeyError: 'title')\n"
+    assert complete_calls == []
+    assert out.read_text() == "kept\n"
+
+
+def test_trace_answer_to_an_unknown_question_names_both_ids(tmp_path):
+    questions, answers, spaces_path, fixture, config_path, space = make_trace_inputs(tmp_path)
+    write_jsonl(answers, [{"answer_id": "a7", "question_id": "q9", "text": "t",
+                           "rst_tree": {"edu": "t"}}])
+    result = invoke("trace", "--in", str(answers), "--questions", str(questions),
+                    "--out", str(tmp_path / "traces.jsonl"), "--config", str(config_path))
+    assert result.exit_code == 1, result.output
+    assert "'a7'" in result.stderr and "'q9'" in result.stderr
+    assert "Traceback" not in result.output
+
+
+def test_trace_keeps_only_the_question_titles(tmp_path, monkeypatch):
+    questions, answers, spaces_path, fixture, config_path, space = make_trace_inputs(tmp_path)
+    seed_trace_fixture(fixture, space)
+    write_jsonl(questions, [{"post_id": "q1", "title": "Why is the sky blue?",
+                             "comments": [{"comment_id": "c0", "text": "long " * 100}]}])
+    read = []
+    real = corpus_io.read_corpus
+    monkeypatch.setattr(corpus_io, "read_corpus",
+                        lambda path, view=None: read.append(real(path, view)) or read[-1])
+    result = invoke("trace", "--in", str(answers), "--questions", str(questions),
+                    "--spaces", str(spaces_path), "--out", str(tmp_path / "traces.jsonl"),
+                    "--config", str(config_path))
+    assert result.exit_code == 0, result.output
+    assert [("q1", "Why is the sky blue?")] in read
+
+
 @pytest.mark.parametrize("command", ["segment", "trace"])
 def test_too_deep_tree_line_exit_1(tmp_path, command):
     questions, answers, spaces_path, _, config_path, _ = make_trace_inputs(tmp_path)
@@ -323,6 +402,73 @@ def test_model_command_family_level(tmp_path):
     doc = json.loads(out.read_text())
     assert "AQ" in doc["vocabulary"]
     assert all(len(v) <= 5 or v == "NONE" for v in doc["vocabulary"])
+
+
+def test_model_command_mle_and_unknown_smoothing(tmp_path):
+    src = tmp_path / "traces.jsonl"
+    write_jsonl(src, [trace_record("a1", "q1", ["action_AQ_assert_answer",
+                                                "action_AQ_provide_reasoning"])])
+    out = tmp_path / "model.json"
+    result = invoke("model", "--in", str(src), "--out", str(out), "--smoothing", "mle")
+    assert result.exit_code == 0, result.output
+    assert json.loads(out.read_text())["smoothing"]["mode"] == "mle"
+    result = invoke("model", "--in", str(src), "--out", str(out), "--smoothing", "laplace")
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("error: unknown smoothing 'laplace'")
+
+
+def test_compare_long_csv_has_one_row_per_cell(tmp_path):
+    acts = ["action_AQ_assert_answer", "action_AQ_provide_reasoning", "action_SI_clarification"]
+    corpora = []
+    for k in range(3):
+        path = tmp_path / f"c{k}.jsonl"
+        write_jsonl(path, [trace_record(f"a{i}", "q1", [acts[(i + k) % 3], acts[(i + 2) % 3]])
+                           for i in range(3 + k)])
+        corpora += ["--corpora", f"C{k}={path}"]
+    json_out, long_out = tmp_path / "m.json", tmp_path / "long.csv"
+    result = invoke("compare", *corpora, "--out", str(tmp_path / "m.csv"),
+                    "--json-out", str(json_out), "--long-csv-out", str(long_out))
+    assert result.exit_code == 0, result.output
+    doc = json.loads(json_out.read_text())
+    header, *rows = [line.split(",") for line in long_out.read_text().splitlines()]
+    assert header == ["train", "eval", "perplexity"]
+    assert rows == [[train, test, f"{doc['values'][i][j]:.6f}"]
+                    for i, train in enumerate(doc["row_labels"])
+                    for j, test in enumerate(doc["col_labels"])]
+    assert len(rows) == 9
+
+
+def test_config_ontology_path_resolves_next_to_the_config_file(tmp_path, monkeypatch):
+    src = tmp_path / "traces.jsonl"
+    write_jsonl(src, [trace_record("a1", "q1", ["act_only"])])
+    (tmp_path / "conf").mkdir()
+    ontology = load_ontology().to_dict()
+    ontology["acts"].append({**ontology["acts"][0], "id": "act_only"})
+    (tmp_path / "conf" / "onto.json").write_text(json.dumps(ontology))
+    config = tmp_path / "conf" / "config.json"
+    config.write_text(json.dumps({"ontology_path": "onto.json"}))
+    monkeypatch.chdir(tmp_path)  # a path resolved from here would not exist
+    out = tmp_path / "model.json"
+    result = invoke("model", "--in", str(src), "--out", str(out), "--config", str(config))
+    assert result.exit_code == 0, result.output
+    assert "act_only" in json.loads(out.read_text())["vocabulary"]
+
+    config.write_text(json.dumps({"ontology_path": "missing.json"}))
+    result = invoke("model", "--in", str(src), "--out", str(out), "--config", str(config))
+    assert result.exit_code == 1, result.output
+    assert str(tmp_path / "conf" / "missing.json") in result.stderr
+
+
+@pytest.mark.parametrize("threshold", [0, -0.5, 1.01])
+def test_config_dedup_threshold_outside_unit_interval_exit_1(tmp_path, threshold):
+    src = tmp_path / "traces.jsonl"
+    write_jsonl(src, [trace_record("a1", "q1", ["action_AQ_assert_answer"])])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dedup_threshold": threshold}))
+    result = invoke("model", "--in", str(src), "--out", str(tmp_path / "m.json"),
+                    "--config", str(config))
+    assert result.exit_code == 1, result.output
+    assert result.stderr == "error: dedup_threshold must be in (0, 1]\n"
 
 
 def test_compare_command_identical_corpora(tmp_path):

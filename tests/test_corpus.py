@@ -99,6 +99,30 @@ def test_filtering_is_idempotent():
     assert sum(v for k, v in tally.items() if k != "missing_profanity_score") == 0
 
 
+# (post, config, the first rule it fails): one pair per rule in FILTER_RULES.
+FIRST_FAILURES = [
+    (post(""), FilterConfig(), "empty_title"),
+    (post(GOOD_TITLE, score=4), FilterConfig(), "low_score"),
+    (post("Why is that?"), FilterConfig(), "short_title"),
+    (post("The Roman Empire split in 285 AD."), FilterConfig(), "not_interrogative"),
+    (post("Which subreddit explains the Roman Empire best?"), FilterConfig(), "reddit_term"),
+    (post("Rome fell. Why did Byzantium survive?"), FilterConfig(), "multiple_questions"),
+    (post(GOOD_TITLE, profanity=0.95), FilterConfig(), "profanity"),
+    (post("Why do I sneeze when looking at the sun?"), FilterConfig(), "first_person"),
+    (post("Why does my husband collect Roman coins?"), FilterConfig(first_person=()),
+     "relationship_term"),
+    (post("Is this normal for a Roman legionary's diet?"), FilterConfig(),
+     "validation_seeking"),
+]
+
+
+def test_every_rule_is_the_first_failure_of_some_post():
+    for p, config, rule in FIRST_FAILURES:
+        kept, tally = filter_posts([p], config)
+        assert kept == [] and tally[rule] == 1, rule
+    assert sorted(rule for _, _, rule in FIRST_FAILURES) == sorted(FILTER_RULES)
+
+
 def test_tally_contains_every_rule():
     _, tally = filter_posts([])
     for rule in FILTER_RULES:
