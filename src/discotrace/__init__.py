@@ -30,7 +30,7 @@ from .interpretations import (
     deduplicate,
     generate_raw,
 )
-from .pipeline import DiscoTrace, TaggedSegment, TraceStep, pair_interpretations, tag_answer
+from .pipeline import DiscoTrace, TraceStep, pair_interpretations, tag_answer
 from .stats import (
     AgreementReport,
     BigramModel,

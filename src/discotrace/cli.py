@@ -5,8 +5,8 @@ of ``sample``, fixed by its --seed; with mock backends no subcommand performs
 network I/O, so runs replay byte-identically. Exit codes: 0 success (including
 degraded runs with diagnostics), 1 input error, 2 backend failure. ``interp``,
 ``trace`` and ``mimic-answer`` run as many records at once as the smallest
-``max_in_flight`` of their backends, ``segment`` one at a time. After a failure,
-the output file holds the records that finished before the failing one.
+``max_in_flight`` of their live backends, or one at a time, as ``segment`` does,
+when none is live. After a failure, ``--out`` keeps the records finished before it.
 """
 
 from __future__ import annotations
@@ -60,13 +60,15 @@ def _load_config(path) -> PipelineConfig:
 def _run_batch(in_path, out_path, run_one, backends=()) -> list:
     """Map ``run_one`` over ``in_path``'s records and write the results to ``out_path``
     in input order; on a failure, those before the failing record. Each worker has one
-    call in flight, so there are as many as the smallest ``max_in_flight`` of ``backends``.
+    call in flight, so there are as many as the smallest ``max_in_flight`` of the live
+    ``backends``, and one when none is live: a mock does no I/O for threads to overlap.
     ``out_path`` is truncated before any record runs, so an unwritable one costs no work."""
     records = corpus_io.read_corpus(in_path)
     open(out_path, "w").close()
+    live = [b.max_in_flight for b in backends if b.kind == "live"]
     out_records = []
     try:
-        with ThreadPoolExecutor(min((b.max_in_flight for b in backends), default=1)) as pool:
+        with ThreadPoolExecutor(min(live, default=1)) as pool:
             out_records.extend(pool.map(run_one, records))
     finally:
         corpus_io.write_corpus(out_path, out_records)
@@ -84,8 +86,7 @@ def main():
 @click.option("--tally-out", default=None, help="Per-rule rejection tally JSON.")
 def filter_cmd(in_path, out_path, tally_out):
     """Apply the question-quality filters to a raw post dump."""
-    records = corpus_io.read_corpus(in_path)
-    posts = [corpus_io.RawPost.from_dict(r) for r in records]
+    posts = corpus_io.read_corpus(in_path, view=corpus_io.RawPost.from_dict)
     config = corpus_io.FilterConfig()
     kept, tally = corpus_io.filter_posts(posts, config)
     out_records = []
@@ -184,13 +185,13 @@ def trace_cmd(in_path, questions_path, spaces_path, out_path, config_path):
     if config.act_labeler is None:
         raise ValueError("config must define act_labeler")
     ontology = load_ontology(config.ontology_path)
-    questions = dict(corpus_io.read_corpus(questions_path,
-                                           view=lambda r: (r["post_id"], r["title"])))
+    questions = dict(corpus_io.read_corpus(
+        questions_path, view=lambda r: (corpus_io.typed(r, "post_id", str), r["title"])))
     spaces = _read_spaces(spaces_path) if spaces_path else {}
     labeler = config.interp_labeler or config.act_labeler
 
     def run_one(record):
-        if record["question_id"] not in questions:
+        if not isinstance(record["question_id"], str) or record["question_id"] not in questions:
             raise ValueError(f"answer {record['answer_id']!r}: question_id "
                              f"{record['question_id']!r} is not in --questions")
         question = questions[record["question_id"]]

@@ -51,6 +51,15 @@ DEFAULT_MAX_COMMENTS = {
 }
 
 
+def typed(doc: dict, key: str, kind, *default):
+    """``doc[key]``, or ``default`` when given and the key is absent, if it is a ``kind``;
+    else a TypeError naming the key, which ``read_corpus`` reports with its line."""
+    value = doc.get(key, *default) if default else doc[key]
+    if not isinstance(value, kind):
+        raise TypeError(f"{key} cannot be {type(value).__name__}")
+    return value
+
+
 @dataclass
 class RawComment:
     comment_id: str
@@ -72,12 +81,12 @@ class RawPost:
     @classmethod
     def from_dict(cls, doc: dict) -> "RawPost":
         return cls(
-            post_id=doc["post_id"],
-            title=doc.get("title", ""),
+            post_id=typed(doc, "post_id", str),
+            title=typed(doc, "title", (str, type(None)), ""),
             score=int(doc.get("score", 0)),
             created_at=doc.get("created_at", ""),
-            community=doc.get("community", ""),
-            profanity_prob=doc.get("profanity_prob"),
+            community=typed(doc, "community", str, ""),
+            profanity_prob=typed(doc, "profanity_prob", (int, float, type(None)), None),
             comments=[
                 RawComment(
                     comment_id=c["comment_id"],
@@ -203,7 +212,8 @@ def sample_questions(posts: list, n: int, seed: int) -> list:
 
 def read_corpus(path, view=None) -> list:
     """Read a JSONL corpus; unknown fields are preserved verbatim. ``view``
-    maps each record as it is read, so only what it keeps stays in memory.
+    maps each record as it is read, so only what it keeps stays in memory;
+    a record it cannot read raises ``MalformedLine`` with the line's number.
     The cyclic GC is paused meanwhile: parsed JSON cannot form cycles."""
     records = []
     was_enabled = gc.isenabled()
@@ -229,7 +239,7 @@ def read_corpus(path, view=None) -> list:
                 if view is not None:
                     try:
                         record = view(record)
-                    except (KeyError, TypeError, UnknownActId) as exc:
+                    except (KeyError, TypeError, ValueError, UnknownActId) as exc:
                         raise MalformedLine(
                             number, f"unreadable record ({type(exc).__name__}: {exc})"
                         ) from exc

@@ -78,18 +78,12 @@ def _canonical(request) -> str:
 
 
 def request_digest(request: ChatRequest) -> str:
-    """Stable SHA-256 digest of a chat request's canonical JSON form. "user" is
-    its last key and JSON escapes one character at a time, so a request that
-    still matches its ``head`` hashes only the rest of ``user``, on a copy of
-    the head's state. Text is encoded with ``surrogatepass``: JSON input can carry
-    a lone surrogate."""
+    """Stable SHA-256 digest of a chat request's canonical JSON form. "user" is its
+    last key and JSON escapes one character at a time, so a request built by a
+    ``PromptHead`` hashes only the rest of ``user``, on a copy of the head's state.
+    Text is encoded with ``surrogatepass``: JSON input can carry a lone surrogate."""
     head = request.head
-    # Identity, not ==: 0.0 == -0.0 and 1 == 1.0 == True, yet each dumps differently.
-    if (head is None or request.system is not head.system
-            or request.model_name is not head.model_name
-            or request.temperature is not head.temperature
-            or request.max_tokens is not head.max_tokens
-            or not request.user.startswith(head.user)):
+    if head is None:
         return hashlib.sha256(_canonical(request).encode("utf-8", "surrogatepass")).hexdigest()
     if head.digest_state is None:  # the head's canonical form, less its closing '"}'
         state = hashlib.sha256(_canonical(head)[:-2].encode("utf-8", "surrogatepass"))

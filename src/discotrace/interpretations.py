@@ -15,6 +15,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import gateway
+from .corpus import typed
 from .errors import DiscoTraceError, EmbeddingDimensionMismatch
 from .gateway import BackendSpec
 from .prompts import build_interp_gen_prompt, parse_interp_list
@@ -54,7 +55,7 @@ class InterpretationSpace:
     @classmethod
     def from_dict(cls, doc: dict) -> "InterpretationSpace":
         return cls(
-            question_id=doc["question_id"],
+            question_id=typed(doc, "question_id", str),
             dedup_threshold=doc.get("threshold", DEFAULT_DEDUP_THRESHOLD),
             members=[
                 Interpretation(id=m["id"], text=m["text"], sources=set(m.get("sources", [])))

@@ -2,20 +2,22 @@
 
 Segments are processed strictly left to right: each tagging call carries
 the preceding segment and its predicted label. Per-subsegment responses
-split an action segment at EDU granularity; contiguous equal labels are
-merged so no two adjacent tagged segments share an act. Per-segment
-failures degrade to NONE with a diagnostic rather than aborting the
-answer (a mock fixture miss is a configuration error and still raises).
+split an action segment at EDU granularity; a label equal to the previous
+one extends that step, so no two adjacent steps share an act. Pairing asks
+about each eligible step's EDU text, read from the tree. Per-segment failures
+degrade to NONE with a diagnostic rather than aborting the answer (a mock
+fixture miss is a configuration error and still raises).
 Each request goes through :func:`gateway.ask`, which alone decides how
 often it is asked and words the failure message a diagnostic quotes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import gateway
+from .corpus import typed
 from .errors import UnknownInterpretationId
 from .gateway import BackendSpec
 from .interpretations import InterpretationSpace
@@ -31,14 +33,9 @@ from .segmentation import ActionSegment
 
 
 @dataclass
-class TaggedSegment:
-    edu_indices: tuple
-    act_id: str
-    continuation: bool = False
-
-
-@dataclass
 class TraceStep:
+    """One (act, interpretation) step; ``tag_answer`` leaves the interpretation unset."""
+
     act_id: str
     edu_indices: tuple
     interpretation_id: Optional[str] = None
@@ -73,8 +70,8 @@ class DiscoTrace:
     @classmethod
     def from_dict(cls, doc: dict) -> "DiscoTrace":
         return cls(
-            answer_id=doc["answer_id"],
-            question_id=doc.get("question_id", ""),
+            answer_id=typed(doc, "answer_id", str),
+            question_id=typed(doc, "question_id", str, ""),
             steps=[
                 TraceStep(
                     act_id=s["act_id"],
@@ -94,10 +91,10 @@ def tag_answer(
     tree: RstTree,
     ontology: Ontology,
     backend: BackendSpec,
-) -> tuple[list[TaggedSegment], list[str]]:
-    """Label each segment with a discourse act; returns (tagged, diagnostics)."""
+) -> tuple[list[TraceStep], list[str]]:
+    """Label each segment with a discourse act; returns (steps, diagnostics)."""
     edu_texts = [edu.text for edu in tree.leaves()]
-    tagged: list[TaggedSegment] = []
+    tagged: list[TraceStep] = []
     diagnostics: list[str] = []
     prev_text: Optional[str] = None
     prev_label: Optional[str] = None
@@ -129,13 +126,9 @@ def tag_answer(
         pieces = _assignments_to_pieces(segment, assignments)
         for indices, act_id in pieces:
             if tagged and tagged[-1].act_id == act_id:
-                tagged[-1] = TaggedSegment(
-                    edu_indices=tagged[-1].edu_indices + indices,
-                    act_id=act_id,
-                    continuation=True,
-                )
+                tagged[-1].edu_indices += indices
             else:
-                tagged.append(TaggedSegment(edu_indices=indices, act_id=act_id))
+                tagged.append(TraceStep(act_id, indices))
 
         prev_text = segment.text
         prev_label = pieces[-1][1]
@@ -167,16 +160,17 @@ def _assignments_to_pieces(segment: ActionSegment, assignments) -> list[tuple[tu
 def pair_interpretations(
     question: str,
     space: Optional[InterpretationSpace],
-    tagged: list[TaggedSegment],
+    tagged: list[TraceStep],
     answer_text: str,
     ontology: Ontology,
     backend: BackendSpec,
     answer_id: str = "",
     question_id: str = "",
-    tree: Optional[RstTree] = None,
+    *,
+    tree: RstTree,
     diagnostics: Optional[list[str]] = None,
 ) -> DiscoTrace:
-    """Attach interpretation ids to eligible tagged segments.
+    """Copy ``tagged`` into a trace, attaching interpretation ids to eligible steps.
 
     Ineligible acts and empty spaces skip the labeler call entirely.
     Unknown ids, transport failures and replies that never parse degrade
@@ -187,22 +181,20 @@ def pair_interpretations(
         question_id=question_id,
         diagnostics=list(diagnostics or []),
     )
-    edu_texts = [edu.text for edu in tree.leaves()] if tree is not None else None
+    edu_texts = [edu.text for edu in tree.leaves()]
     id_to_text = space.id_to_text() if space is not None else {}
     known_ids = set(id_to_text)
     head = None  # as in tag_answer
 
-    for segment in tagged:
+    for step in tagged:
         interpretation_id = None
-        if known_ids and is_eligible(ontology, segment.act_id):
-            segment_text = (" ".join(edu_texts[i] for i in segment.edu_indices)
-                            if edu_texts is not None else answer_text)
+        if known_ids and is_eligible(ontology, step.act_id):
             request = build_interp_label_prompt(
                 question=question,
                 interpretations=id_to_text,
                 answer=answer_text,
-                segment=segment_text,
-                act_label=ontology.get(segment.act_id).display_name,
+                segment=" ".join(edu_texts[i] for i in step.edu_indices),
+                act_label=ontology.get(step.act_id).display_name,
                 model_name=backend.model,
                 head=head,
             )
@@ -215,11 +207,7 @@ def pair_interpretations(
                 failure = ("unknown id", str(exc))
             if failure is not None:
                 trace.diagnostics.append(
-                    f"segment {segment.edu_indices}: {failure[1]}; treated as NONE"
+                    f"segment {step.edu_indices}: {failure[1]}; treated as NONE"
                 )
-        trace.steps.append(TraceStep(
-            act_id=segment.act_id,
-            edu_indices=segment.edu_indices,
-            interpretation_id=interpretation_id,
-        ))
+        trace.steps.append(replace(step, interpretation_id=interpretation_id))
     return trace

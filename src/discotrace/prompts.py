@@ -31,7 +31,7 @@ class ChatRequest:
     model_name: str
     temperature: float = DEFAULT_TEMPERATURE
     max_tokens: Optional[int] = None
-    head: Optional["PromptHead"] = field(default=None, compare=False, repr=False)
+    head: Optional["PromptHead"] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.system or not self.user:
@@ -51,8 +51,11 @@ class PromptHead:
     digest_state: object = field(default=None, init=False, repr=False)
 
     def request(self, user_tail: str) -> ChatRequest:
-        return ChatRequest(self.system, self.user + user_tail, self.model_name,
-                           self.temperature, self.max_tokens, head=self)
+        """The request ending in ``user_tail``; the only way a ``ChatRequest`` gets a head."""
+        request = ChatRequest(self.system, self.user + user_tail, self.model_name,
+                              self.temperature, self.max_tokens)
+        object.__setattr__(request, "head", self)
+        return request
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -347,6 +348,82 @@ def test_trace_command_fixture_miss_exit_2(tmp_path):
     result = invoke("trace", "--in", str(answers), "--questions", str(questions),
                     "--out", str(out), "--config", str(config_path))
     assert result.exit_code == 2
+
+
+# (command, input file, field, value): the second record of the file gets the value.
+BAD_FIELDS = [
+    ("filter", "raw", "title", 7),
+    ("filter", "raw", "score", None),
+    ("filter", "raw", "score", "x"),
+    ("filter", "raw", "community", []),
+    ("filter", "raw", "comments", 7),
+    ("filter", "raw", "profanity_prob", "x"),
+    ("trace", "answers", "question_id", []),
+    ("trace", "answers", "question_id", {}),
+    ("trace", "questions", "post_id", []),
+    ("trace", "questions", "post_id", {}),
+    ("metrics", "traces", "answer_id", []),
+    ("metrics", "traces", "answer_id", {}),
+    ("metrics", "traces", "question_id", []),
+    ("metrics", "traces", "question_id", {}),
+    ("metrics", "spaces", "question_id", []),
+    ("metrics", "spaces", "question_id", {}),
+]
+
+
+@pytest.mark.parametrize("command, role, key, value", BAD_FIELDS)
+def test_a_field_of_the_wrong_type_names_its_record(tmp_path, command, role, key, value):
+    questions, answers, spaces, fixture, config_path, space = make_trace_inputs(tmp_path)
+    seed_trace_fixture(fixture, space)
+    raw, traces = tmp_path / "raw.jsonl", tmp_path / "traces.jsonl"
+    write_jsonl(raw, [{"post_id": "p1", "title": "Why did the Roman Empire split in two?",
+                       "score": 10, "community": "AskHistorians", "profanity_prob": 0.0,
+                       "comments": [{"comment_id": "c0", "text": "t", "score": 3}]}])
+    write_jsonl(traces, [trace_record("a1", "q1", ["action_AQ_assert_answer"])])
+    path = {"raw": raw, "questions": questions, "answers": answers,
+            "spaces": spaces, "traces": traces}[role]
+    first = read_corpus(path)[0]
+    write_jsonl(path, [first, {**first, "answer_id": "a2", key: value} if role == "answers"
+                       else {**first, key: value}])
+    args = {
+        "filter": ["--in", raw, "--out", tmp_path / "kept.jsonl"],
+        "trace": ["--in", answers, "--questions", questions, "--spaces", spaces,
+                  "--out", tmp_path / "out.jsonl", "--config", config_path],
+        "metrics": ["--in", traces, "--spaces", spaces, "--out", tmp_path / "metrics.json"],
+    }[command]
+    result = invoke(command, *map(str, args))
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code == 1, result.output
+    assert "Traceback" not in result.output
+    named = "error: answer 'a2': " if role == "answers" else "error: line 2: "
+    assert result.stderr.startswith(named), result.stderr
+
+
+def test_filter_counts_a_null_title_as_empty(tmp_path):
+    raw, out, tally_out = tmp_path / "raw.jsonl", tmp_path / "kept.jsonl", tmp_path / "t.json"
+    write_jsonl(raw, [{"post_id": "p1", "title": None, "score": 10,
+                       "community": "AskHistorians"}])
+    result = invoke("filter", "--in", str(raw), "--out", str(out), "--tally-out", str(tally_out))
+    assert result.exit_code == 0, result.output
+    assert json.loads(tally_out.read_text())["empty_title"] == 1
+
+
+def test_mock_only_trace_calls_its_backend_from_one_thread(tmp_path, monkeypatch):
+    # A mock does no I/O, so more workers would only hand the GIL around.
+    questions, answers, spaces, fixture, config_path, space = make_trace_inputs(tmp_path)
+    seed_trace_fixture(fixture, space)
+    first = read_corpus(answers)[0]
+    write_jsonl(answers, [{**first, "answer_id": f"a{i}"} for i in range(6)])
+    threads = []
+    real = gateway.complete
+    monkeypatch.setattr(gateway, "complete",
+                        lambda *a, **k: threads.append(threading.get_ident()) or real(*a, **k))
+    result = invoke("trace", "--in", str(answers), "--questions", str(questions),
+                    "--spaces", str(spaces), "--out", str(tmp_path / "traces.jsonl"),
+                    "--config", str(config_path))
+    assert result.exit_code == 0, result.output
+    assert len(threads) == 12  # one act and one interpretation call per answer
+    assert len(set(threads)) == 1
 
 
 @pytest.mark.parametrize("act_limit, interp_limit", [(1, 1), (4, 1)])

@@ -81,7 +81,7 @@ def test_lone_surrogate_digests():
         head = PromptHead(f"sys {lone}", user[:split], "model", 0.0, 7)
         request = head.request(user[split:])
         assert request_digest(request) == full_digest(request)
-        assert request_digest(dataclasses.replace(request, head=None)) == full_digest(request)
+        assert request_digest(dataclasses.replace(request)) == full_digest(request)
     assert text_digest("m", lone) != text_digest("m", "\udc00")
 
 
@@ -99,9 +99,17 @@ def test_mismatched_head_falls_back_to_full_digest():
     zero = PromptHead("sys", "Question\n", "model", 0.0).request("S")
     stale.append(dataclasses.replace(zero, temperature=-0.0))
     for changed in stale:
-        assert changed.head is not None
+        assert changed.head is None
         assert request_digest(changed) == full_digest(changed)
     assert len({request_digest(r) for r in stale}) == len(stale)
+
+
+def test_only_a_prompt_head_sets_a_request_head():
+    request = PromptHead("sys", "Question\n", "model").request("S")
+    with pytest.raises(TypeError):
+        ChatRequest("sys", "Question\nS", "model", head=request.head)
+    with pytest.raises(ValueError):
+        dataclasses.replace(request, head=request.head)
 
 
 def test_append_fixture_keeps_the_cache_current(tmp_path, monkeypatch):

@@ -15,9 +15,9 @@ from discotrace import (
 )
 from discotrace.gateway import append_fixture, request_digest
 from discotrace.interpretations import Interpretation, InterpretationSpace
-from discotrace.pipeline import TaggedSegment
+from discotrace.pipeline import TraceStep
 
-from conftest import http_stub, leaf, node, record_fixture_by_replay
+from conftest import chain_tree, http_stub, leaf, node, record_fixture_by_replay
 
 
 def mock_backend(tmp_path, name="tagger", retry_limit=1):
@@ -62,7 +62,7 @@ def test_single_segment_single_act(tmp_path):
         lambda req: single_act("action_AQ_assert_answer"),
     )
     assert diagnostics == []
-    assert tagged == [TaggedSegment(edu_indices=(0,), act_id="action_AQ_assert_answer")]
+    assert tagged == [TraceStep(edu_indices=(0,), act_id="action_AQ_assert_answer")]
 
 
 def test_per_subsegment_split(tmp_path):
@@ -91,7 +91,7 @@ def test_adjacent_equal_labels_merge_within_segment(tmp_path):
         ])
 
     (tagged, _), *_ = run_tagging(tmp_path, doc, responder)
-    assert tagged == [TaggedSegment(edu_indices=(0, 1), act_id="action_AQ_assert_answer")]
+    assert tagged == [TraceStep(edu_indices=(0, 1), act_id="action_AQ_assert_answer")]
 
 
 def test_continuation_merges_across_segments(tmp_path):
@@ -102,7 +102,6 @@ def test_continuation_merges_across_segments(tmp_path):
     )
     assert len(tagged) == 1
     assert tagged[0].edu_indices == (0, 1)
-    assert tagged[0].continuation is True
 
 
 def test_previous_segment_context_flows(tmp_path):
@@ -178,6 +177,9 @@ def test_parse_failure_leaves_no_reference_cycle(tmp_path):
     assert "parse failure" in diagnostics[0]
 
 
+PAIR_TREE = parse_rst_tree(chain_tree(3))  # EDUs e0, e1, e2
+
+
 def make_space(n=3):
     return InterpretationSpace(
         question_id="q1",
@@ -187,10 +189,10 @@ def make_space(n=3):
 
 def test_pair_empty_space_zero_calls(tmp_path):
     backend = mock_backend(tmp_path, name="labeler")
-    tagged = [TaggedSegment(edu_indices=(0,), act_id="action_AQ_assert_answer")]
+    tagged = [TraceStep(edu_indices=(0,), act_id="action_AQ_assert_answer")]
     trace = pair_interpretations(
         "Q?", InterpretationSpace(question_id="q1"), tagged, "answer",
-        load_ont(), backend, answer_id="a1", question_id="q1",
+        load_ont(), backend, answer_id="a1", question_id="q1", tree=PAIR_TREE,
     )
     # An empty fixture would raise FixtureMiss on any call; none happened.
     assert [s.interpretation_id for s in trace.steps] == [None]
@@ -200,24 +202,24 @@ def test_pair_empty_space_zero_calls(tmp_path):
 def test_pair_ineligible_segments_skip_call(tmp_path):
     backend = mock_backend(tmp_path, name="labeler")
     tagged = [
-        TaggedSegment(edu_indices=(0,), act_id="action_CQ_reject_presupposition"),
-        TaggedSegment(edu_indices=(1,), act_id="NONE"),
+        TraceStep(edu_indices=(0,), act_id="action_CQ_reject_presupposition"),
+        TraceStep(edu_indices=(1,), act_id="NONE"),
     ]
     trace = pair_interpretations(
         "Q?", make_space(), tagged, "answer", load_ont(), backend,
-        answer_id="a1", question_id="q1",
+        answer_id="a1", question_id="q1", tree=PAIR_TREE,
     )
     assert [s.interpretation_id for s in trace.steps] == [None, None]
 
 
 def test_pair_eligible_segment_gets_id(tmp_path):
     backend = mock_backend(tmp_path, name="labeler")
-    tagged = [TaggedSegment(edu_indices=(0,), act_id="action_AQ_assert_answer")]
+    tagged = [TraceStep(edu_indices=(0,), act_id="action_AQ_assert_answer")]
 
     def run():
         return pair_interpretations(
             "Q?", make_space(), tagged, "answer", load_ont(), backend,
-            answer_id="a1", question_id="q1",
+            answer_id="a1", question_id="q1", tree=PAIR_TREE,
         )
 
     trace = record_fixture_by_replay(
@@ -229,12 +231,12 @@ def test_pair_eligible_segment_gets_id(tmp_path):
 
 def test_pair_unknown_id_degrades(tmp_path):
     backend = mock_backend(tmp_path, name="labeler")
-    tagged = [TaggedSegment(edu_indices=(0,), act_id="action_AQ_assert_answer")]
+    tagged = [TraceStep(edu_indices=(0,), act_id="action_AQ_assert_answer")]
 
     def run():
         return pair_interpretations(
             "Q?", make_space(3), tagged, "answer", load_ont(), backend,
-            answer_id="a1", question_id="q1",
+            answer_id="a1", question_id="q1", tree=PAIR_TREE,
         )
 
     trace = record_fixture_by_replay(
@@ -247,16 +249,16 @@ def test_pair_unknown_id_degrades(tmp_path):
 def test_pair_counts_one_call_per_eligible_segment(tmp_path):
     backend = mock_backend(tmp_path, name="labeler")
     tagged = [
-        TaggedSegment(edu_indices=(0,), act_id="action_AQ_assert_answer"),
-        TaggedSegment(edu_indices=(1,), act_id="action_CQ_reject_presupposition"),
-        TaggedSegment(edu_indices=(2,), act_id="action_SI_clarification"),
+        TraceStep(edu_indices=(0,), act_id="action_AQ_assert_answer"),
+        TraceStep(edu_indices=(1,), act_id="action_CQ_reject_presupposition"),
+        TraceStep(edu_indices=(2,), act_id="action_SI_clarification"),
     ]
     calls = []
 
     def run():
         return pair_interpretations(
             "Q?", make_space(), tagged, "a b c", load_ont(), backend,
-            answer_id="a1", question_id="q1",
+            answer_id="a1", question_id="q1", tree=PAIR_TREE,
         )
 
     def responder(req):
@@ -265,17 +267,18 @@ def test_pair_counts_one_call_per_eligible_segment(tmp_path):
 
     trace = record_fixture_by_replay(backend.fixture_path, run, responder)
     assert len(calls) == 2  # only the two eligible segments
+    assert "\ne0\n" in calls[0].user and "\ne2\n" in calls[1].user  # each its own EDU text
     assert [s.interpretation_id for s in trace.steps] == ["id_1", None, "id_1"]
 
 
 def test_trace_round_trip(tmp_path):
     backend = mock_backend(tmp_path, name="labeler")
-    tagged = [TaggedSegment(edu_indices=(0, 1), act_id="action_AQ_assert_answer")]
+    tagged = [TraceStep(edu_indices=(0, 1), act_id="action_AQ_assert_answer")]
 
     def run():
         return pair_interpretations(
             "Q?", make_space(), tagged, "answer text", load_ont(), backend,
-            answer_id="a1", question_id="q1",
+            answer_id="a1", question_id="q1", tree=PAIR_TREE,
         )
 
     trace = record_fixture_by_replay(
@@ -325,12 +328,12 @@ def test_outage_tagging_posts_retry_limit_plus_one_per_segment(tmp_path, monkeyp
 
 def test_outage_pairing_posts_retry_limit_plus_one(tmp_path, monkeypatch):
     monkeypatch.setattr("discotrace.gateway.time.sleep", lambda s: None)
-    tagged = [TaggedSegment(edu_indices=(0,), act_id="action_AQ_assert_answer")]
+    tagged = [TraceStep(edu_indices=(0,), act_id="action_AQ_assert_answer")]
     with http_stub(lambda body: (503, {})) as (endpoint, stats):
         backend = BackendSpec(kind="live", endpoint=endpoint, retry_limit=3)
         trace = pair_interpretations(
             "Q?", make_space(), tagged, "answer", load_ont(), backend,
-            answer_id="a1", question_id="q1",
+            answer_id="a1", question_id="q1", tree=PAIR_TREE,
         )
     assert stats.posts == 4
     assert trace.steps[0].interpretation_id is None
