@@ -3,7 +3,8 @@
 Every subcommand reads and writes JSONL. The only randomness is the question draw
 of ``sample``, fixed by its --seed; with mock backends no subcommand performs
 network I/O, so runs replay byte-identically. Exit codes: 0 success (including
-degraded runs with diagnostics), 1 input error, 2 backend failure. ``interp``,
+degraded runs with diagnostics), 1 input error, which names its record, 2 backend
+failure, including a batch whose live backend calls all failed. ``interp``,
 ``trace`` and ``mimic-answer`` run as many records at once as the smallest
 ``max_in_flight`` of their live backends, or one at a time, as ``segment`` does,
 when none is live. After a failure, ``--out`` keeps the records finished before it.
@@ -19,6 +20,7 @@ from pathlib import Path
 import click
 
 from . import corpus as corpus_io
+from . import gateway
 from .config import PipelineConfig
 from .errors import AuthError, DiscoTraceError, FixtureMiss, TransportError
 from .gateway import complete
@@ -57,21 +59,41 @@ def _load_config(path) -> PipelineConfig:
     return PipelineConfig.from_file(path)
 
 
-def _run_batch(in_path, out_path, run_one, backends=()) -> list:
+def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> list:
     """Map ``run_one`` over ``in_path``'s records and write the results to ``out_path``
     in input order; on a failure, those before the failing record. Each worker has one
     call in flight, so there are as many as the smallest ``max_in_flight`` of the live
     ``backends``, and one when none is live: a mock does no I/O for threads to overlap.
-    ``out_path`` is truncated before any record runs, so an unwritable one costs no work."""
+    ``out_path`` is truncated before any record runs, so an unwritable one costs no work.
+
+    An input error names its record, as ``noun`` and the record's ``id_key``, or its
+    1-based position when that is not a string; a backend error passes unchanged. When
+    the batch made live calls and none returned a reply, it raises ``TransportError``
+    once the results are written: a total outage is a failure, not a degraded run."""
     records = corpus_io.read_corpus(in_path)
     open(out_path, "w").close()
     live = [b.max_in_flight for b in backends if b.kind == "live"]
+
+    def run_named(record, position):
+        try:
+            return run_one(record)
+        except _BACKEND_ERRORS:
+            raise
+        except (DiscoTraceError, KeyError, ValueError) as exc:
+            record_id = record.get(id_key)
+            name = repr(record_id) if isinstance(record_id, str) else f"#{position}"
+            raise ValueError(f"{noun} {name}: {exc}") from exc
+
+    before = gateway.live_tally()
     out_records = []
     try:
         with ThreadPoolExecutor(min(live, default=1)) as pool:
-            out_records.extend(pool.map(run_one, records))
+            out_records.extend(pool.map(run_named, records, range(1, len(records) + 1)))
     finally:
         corpus_io.write_corpus(out_path, out_records)
+    replies, failures = (now - then for now, then in zip(gateway.live_tally(), before))
+    if failures and not replies:
+        raise TransportError(f"every backend call failed ({failures} of {failures})")
     return out_records
 
 
@@ -140,7 +162,7 @@ def segment_cmd(in_path, out_path, config_path):
             "segments": [{"edu_indices": list(s.edu_indices), "text": s.text} for s in segments],
         }
 
-    out_records = _run_batch(in_path, out_path, run_one)
+    out_records = _run_batch(in_path, out_path, run_one, "answer", "answer_id")
     click.echo(f"segmented {len(out_records)} answers")
 
 
@@ -168,7 +190,7 @@ def interp_cmd(in_path, out_path, config_path):
             doc["warnings"] = warnings
         return doc
 
-    out_records = _run_batch(in_path, out_path, run_one,
+    out_records = _run_batch(in_path, out_path, run_one, "question", "post_id",
                              [*config.interp_generators, config.embedder])
     click.echo(f"built {len(out_records)} interpretation spaces")
 
@@ -192,8 +214,7 @@ def trace_cmd(in_path, questions_path, spaces_path, out_path, config_path):
 
     def run_one(record):
         if not isinstance(record["question_id"], str) or record["question_id"] not in questions:
-            raise ValueError(f"answer {record['answer_id']!r}: question_id "
-                             f"{record['question_id']!r} is not in --questions")
+            raise ValueError(f"question_id {record['question_id']!r} is not in --questions")
         question = questions[record["question_id"]]
         tree = parse_rst_tree(record["rst_tree"])
         segments = segment_answer(tree, config.boundary, answer_id=record["answer_id"])
@@ -210,7 +231,8 @@ def trace_cmd(in_path, questions_path, spaces_path, out_path, config_path):
         )
         return trace.to_dict()
 
-    out_records = _run_batch(in_path, out_path, run_one, [config.act_labeler, labeler])
+    out_records = _run_batch(in_path, out_path, run_one, "answer", "answer_id",
+                             [config.act_labeler, labeler])
     n_diag = sum(len(r["diagnostics"]) for r in out_records)
     click.echo(f"traced {len(out_records)} answers ({n_diag} diagnostics)")
 
@@ -368,7 +390,7 @@ def mimic_cmd(in_path, out_path, config_path, subreddit, explanation,
             "generator": backend.name,
         }
 
-    out_records = _run_batch(in_path, out_path, run_one, [backend])
+    out_records = _run_batch(in_path, out_path, run_one, "question", "post_id", [backend])
     click.echo(f"generated {len(out_records)} mimic answers")
 
 

@@ -195,9 +195,8 @@ def filter_comments(post: RawPost, config: Optional[FilterConfig] = None):
     lo = config.min_comments.get(post.community, config.default_min_comments)
     hi = config.max_comments.get(post.community, config.default_max_comments)
     if lo is None or hi is None:
-        raise UnknownCommunity(
-            f"no comment-count bounds configured for community {post.community!r}"
-        )
+        raise UnknownCommunity(f"post {post.post_id!r}: no comment-count bounds "
+                               f"configured for community {post.community!r}")
     if lo <= len(surviving) <= hi:
         return surviving
     return None

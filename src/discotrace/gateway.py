@@ -165,8 +165,25 @@ def _extract(payload, path):
     return value
 
 
+_live_tally = {"replies": 0, "failures": 0}
+_live_tally_lock = threading.Lock()
+
+
+def live_tally() -> tuple[int, int]:
+    """(replies, failures) of the live POSTs made in this process so far, where a
+    failure is one that ended in ``TransportError``. Mock backends are not counted."""
+    with _live_tally_lock:
+        return _live_tally["replies"], _live_tally["failures"]
+
+
+def _count_live(outcome: str) -> None:
+    with _live_tally_lock:
+        _live_tally[outcome] += 1
+
+
 def _post_with_retries(backend: BackendSpec, body: dict):
-    """POST with exponential backoff on transport failures, 5xx and non-JSON bodies."""
+    """POST with exponential backoff on transport failures, 5xx and non-JSON bodies.
+    The outcome counts in :func:`live_tally`."""
     import requests  # only live backends pay for the HTTP stack
 
     last_error = None
@@ -189,11 +206,16 @@ def _post_with_retries(backend: BackendSpec, body: dict):
             last_error = TransportError(f"backend returned {response.status_code}")
             continue
         if response.status_code >= 400:
+            _count_live("failures")
             raise TransportError(f"backend returned {response.status_code}: {response.text}")
         try:
-            return response.json()
+            payload = response.json()
         except ValueError as exc:  # a 2xx body that is not JSON is retried like a 5xx
             last_error = TransportError(f"backend returned a body that is not JSON: {exc}")
+            continue
+        _count_live("replies")
+        return payload
+    _count_live("failures")
     raise TransportError(f"exhausted {backend.retry_limit} retries: {last_error}")
 
 

@@ -10,15 +10,16 @@ assigned in member-creation order ("id_1", "id_2", ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from . import gateway
 from .corpus import typed
 from .errors import DiscoTraceError, EmbeddingDimensionMismatch
 from .gateway import BackendSpec
 from .prompts import build_interp_gen_prompt, parse_interp_list
+
+if TYPE_CHECKING:  # numpy is imported by deduplicate, the one function that computes with it
+    import numpy as np
 
 DEFAULT_DEDUP_THRESHOLD = 0.85
 
@@ -107,6 +108,8 @@ def deduplicate(
     question_id: str = "",
 ) -> InterpretationSpace:
     """Greedy first-representative clustering of pooled interpretations."""
+    import numpy as np
+
     if not 0 < threshold <= 1:
         raise ValueError("threshold must be in (0, 1]")
     space = InterpretationSpace(question_id=question_id, dedup_threshold=threshold)

@@ -279,7 +279,7 @@ def build_mimic_prompt(
         ("subreddit_explanation", subreddit_explanation),
         ("guidelines", guidelines),
     ]:
-        if not value or not value.strip():
+        if not isinstance(value, str) or not value.strip():
             raise ValueError(f"{name} must be non-empty")
     return ChatRequest(
         system=MIMIC_SYSTEM.format(

@@ -14,9 +14,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (
     EmptyCorpus,
@@ -28,6 +26,9 @@ from .errors import (
 from .interpretations import InterpretationSpace
 from .ontology import NONE_ACT_ID, Ontology, is_eligible
 from .pipeline import DiscoTrace
+
+if TYPE_CHECKING:  # numpy is imported by the functions that compute with it
+    import numpy as np
 
 START = "<START>"
 END = "<END>"
@@ -64,6 +65,8 @@ def iter_transitions(sequences: list[list[str]]):
 def transition_matrix(sequences: list[list[str]], vocabulary: Sequence[str]) -> np.ndarray:
     """(|V|+1)x(|V|+1) counts of START-wrapped, collapsed transitions, START's row and
     END's column last. A token outside ``vocabulary`` raises KeyError."""
+    import numpy as np
+
     n = len(vocabulary)
     index = {tok: i for i, tok in enumerate(vocabulary)} | {START: n, END: n + 1}
     codes = np.fromiter((index[tok] for seq in sequences for tok in (START, *seq, END)), np.int64)
@@ -82,6 +85,8 @@ class BigramModel:
     training_sequences: int
 
     def __post_init__(self):
+        import numpy as np
+
         n = len(self.vocabulary)
         self._index = {tok: i for i, tok in enumerate(self.vocabulary)} | {START: n, END: n}
         # probs gets one more row, never trained, for contexts outside the vocabulary.
@@ -96,6 +101,8 @@ class BigramModel:
     @property
     def counts(self) -> dict:
         """(prev, next) -> count of each transition seen in training."""
+        import numpy as np
+
         contexts, nexts = self.vocabulary + (START,), self.vocabulary + (END,)
         return {(contexts[r], nexts[c]): int(self.transitions[r, c])
                 for r, c in zip(*np.nonzero(self.transitions))}
@@ -155,6 +162,8 @@ def _raise_first_failure(model: BigramModel, sequences: list[list[str]]):
 def _perplexities(models: list[BigramModel], counts: list[np.ndarray], sequences) -> np.ndarray:
     """exp(-<E_j, log P_i> / sum(E_j)) over the cells E_j counts, for every model
     i and count matrix j; the corpus ``sequences[j]`` is walked only on error."""
+    import numpy as np
+
     log_probs = np.stack([m.log_probs.ravel() for m in models])
     totals = np.stack([c.ravel() for c in counts]).astype(float)
     impossible = np.isneginf(log_probs)
@@ -310,6 +319,8 @@ def overanswering_bins(
 ) -> list[OveranswerBin]:
     """Bin interpretations by human addressing frequency; report the mean
     model addressing probability per bin."""
+    import numpy as np
+
     human = _addressed_sets(human_traces)
     model = _addressed_sets(model_traces)
     if set(human) != set(model):
@@ -396,6 +407,8 @@ def chi_squared_2x2(table) -> tuple[float, float]:
     Returns (statistic, p). When a row or column margin is zero the test
     is undefined; returns (0.0, 1.0).
     """
+    import numpy as np
+
     (a, b), (c, d) = np.asarray(table, dtype=float)
     margins = (a + b, c + d, a + c, b + d)
     if 0 in margins:

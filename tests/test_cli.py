@@ -184,7 +184,7 @@ def test_interp_rejects_a_question_that_is_not_text(tmp_path, title):
     result = invoke("interp", "--in", str(questions), "--out", str(tmp_path / "o.jsonl"),
                     "--config", str(config))
     assert result.exit_code == 1, result.output
-    assert result.stderr == "error: question must be non-empty\n"
+    assert result.stderr == "error: question 'q1': question must be non-empty\n"
     assert "Traceback" not in result.output
 
 
@@ -348,6 +348,7 @@ def test_trace_command_fixture_miss_exit_2(tmp_path):
     result = invoke("trace", "--in", str(answers), "--questions", str(questions),
                     "--out", str(out), "--config", str(config_path))
     assert result.exit_code == 2
+    assert result.stderr.startswith("error: no fixture entry for request digest ")
 
 
 # (command, input file, field, value): the second record of the file gets the value.
@@ -397,6 +398,73 @@ def test_a_field_of_the_wrong_type_names_its_record(tmp_path, command, role, key
     assert "Traceback" not in result.output
     named = "error: answer 'a2': " if role == "answers" else "error: line 2: "
     assert result.stderr.startswith(named), result.stderr
+
+
+# (command, changes to the second of three answers, what the error starts with)
+BAD_RECORDS = [
+    ("trace", {"rst_tree": 7}, "answer 'a2': tree document must be a JSON object"),
+    ("trace", {"rst_tree": {}}, "answer 'a2': internal node requires"),
+    ("trace", {"rst_tree": {"edu": 7}}, "answer 'a2': leaf 'edu' must be a non-empty string"),
+    ("segment", {"rst_tree": 7}, "answer 'a2': tree document must be a JSON object"),
+    ("segment", {"answer_id": None, "rst_tree": 7}, "answer #2: tree document must be"),
+]
+
+
+@pytest.mark.parametrize("command, changes, named", BAD_RECORDS)
+def test_an_input_error_in_a_batch_names_its_record(tmp_path, command, changes, named):
+    questions, answers, spaces, fixture, config_path, space = make_trace_inputs(tmp_path)
+    seed_trace_fixture(fixture, space)
+    first = read_corpus(answers)[0]
+    write_jsonl(answers, [first, {**first, "answer_id": "a2", **changes},
+                          {**first, "answer_id": "a3"}])
+    out = tmp_path / "out.jsonl"
+    extra = ["--questions", questions, "--spaces", spaces,
+             "--config", config_path] if command == "trace" else []
+    result = invoke(command, *map(str, ["--in", answers, "--out", out, *extra]))
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith(f"error: {named}"), result.stderr
+    assert [r["answer_id"] for r in read_corpus(out)] == ["a1"]
+
+
+def test_filter_names_a_post_whose_community_has_no_bounds(tmp_path):
+    raw = tmp_path / "raw.jsonl"
+    post = {"post_id": "p1", "title": "Why did the Roman Empire split in two?",
+            "score": 10, "community": "AskHistorians", "profanity_prob": 0.0,
+            "comments": [{"comment_id": "c0", "text": "t", "score": 3}]}
+    write_jsonl(raw, [post, {**post, "post_id": "p2", "community": "x"}])
+    result = invoke("filter", "--in", str(raw), "--out", str(tmp_path / "kept.jsonl"))
+    assert result.exit_code == 1, result.output
+    assert result.stderr == ("error: post 'p2': no comment-count bounds configured "
+                             "for community 'x'\n")
+
+
+@pytest.mark.parametrize("failing, exit_code", [({"act", "interp"}, 2), ({"interp"}, 0)])
+def test_trace_exits_2_only_when_every_live_call_failed(tmp_path, failing, exit_code):
+    questions, answers, spaces, _, config_path, _ = make_trace_inputs(tmp_path)
+    first = read_corpus(answers)[0]
+    write_jsonl(answers, [{**first, "answer_id": f"a{i}"} for i in range(3)])
+    replies = {"act": '[{"action_id": "action_AQ_assert_answer"}]',
+               "interp": '[{"interpretation_id": "id_1"}]'}
+
+    def respond(body):
+        if body["model"] in failing:
+            return 503, {}
+        return 200, {"choices": [{"message": {"content": replies[body["model"]]}}]}
+
+    out = tmp_path / "traces.jsonl"
+    with http_stub(respond) as (endpoint, stats):
+        live = {"kind": "live", "endpoint": endpoint, "retry_limit": 0}
+        config_path.write_text(json.dumps({
+            "act_labeler": {**live, "name": "act", "model": "act"},
+            "interp_labeler": {**live, "name": "interp", "model": "interp"},
+        }))
+        result = invoke("trace", "--in", str(answers), "--questions", str(questions),
+                        "--spaces", str(spaces), "--out", str(out), "--config", str(config_path))
+    assert result.exit_code == exit_code, result.output
+    assert [r["answer_id"] for r in read_corpus(out)] == ["a0", "a1", "a2"]
+    assert stats.posts == (3 if exit_code == 2 else 6)  # a NONE step is never paired
+    if exit_code == 2:
+        assert result.stderr == "error: every backend call failed (3 of 3)\n"
 
 
 def test_filter_counts_a_null_title_as_empty(tmp_path):
@@ -736,17 +804,49 @@ def test_help_lists_subcommands():
         assert name in result.output
 
 
-@pytest.mark.parametrize("module", ["scipy", "requests", "urllib3"])
-def test_cli_import_does_not_load(module):
-    # Every subcommand pays the CLI's import time: scipy alone cost about 1 s,
-    # and only live backends need the HTTP stack.
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    result = subprocess.run(
-        [sys.executable, "-c", f"import discotrace.cli, sys; print({module!r} in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60, check=True)
+
+
+@pytest.mark.parametrize("module", ["numpy", "scipy", "requests", "urllib3"])
+def test_cli_import_does_not_load(module):
+    # Every subcommand pays the CLI's import time: scipy alone cost about 1 s, numpy
+    # was half of the rest and only interp, model and compare compute with it, and
+    # only live backends need the HTTP stack.
+    result = run_python(f"import discotrace.cli, sys; print({module!r} in sys.modules)")
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["trace", "segment", "filter", "sample", "metrics"])
+def test_a_command_that_computes_no_statistics_never_loads_numpy(tmp_path, command):
+    questions, answers, spaces, fixture, config_path, space = make_trace_inputs(tmp_path)
+    seed_trace_fixture(fixture, space)
+    raw, traces, out = tmp_path / "raw.jsonl", tmp_path / "traces.jsonl", tmp_path / "out"
+    write_jsonl(raw, [{"post_id": "p1", "title": "Why did the Roman Empire split in two?",
+                       "score": 10, "community": "AskHistorians", "profanity_prob": 0.0,
+                       "comments": [{"comment_id": f"c{i}", "text": "t", "score": 3}
+                                    for i in range(6)]}])
+    write_jsonl(traces, [trace_record("a1", "q1", ["action_AQ_assert_answer"])])
+    args = {
+        "trace": ["--in", answers, "--questions", questions, "--spaces", spaces,
+                  "--out", out, "--config", config_path],
+        "segment": ["--in", answers, "--out", out],
+        "filter": ["--in", raw, "--out", out],
+        "sample": ["--in", questions, "--out", out, "--n", 1],
+        "metrics": ["--in", traces, "--spaces", spaces, "--out", out],
+    }[command]
+    # main() ends in sys.exit, so the check runs at exit; a failed command exits nonzero.
+    result = run_python("import atexit, sys\n"
+                        "atexit.register(lambda: print('numpy' in sys.modules))\n"
+                        "from discotrace.cli import main\n"
+                        "main()", command, *args)
+    assert result.stdout.splitlines()[-1] == "False", result.stdout
+    assert out.exists()
 
 
 @pytest.mark.parametrize("command, flags", [("compare", []), ("compare", ["--family-level"]),
@@ -852,6 +952,15 @@ def test_mimic_failure_keeps_the_finished_answers(tmp_path):
     lines = full.read_text().splitlines(keepends=True)
     assert len(lines) == 3
     assert partial.read_text() == "".join(lines[:2])
+
+
+@pytest.mark.parametrize("title", [None, 7, "  "])
+def test_mimic_names_a_question_that_is_not_text(tmp_path, title):
+    (tmp_path / "gen.jsonl").touch()
+    run = mimic_inputs(tmp_path, [title], {"kind": "mock", "fixture_path": "gen.jsonl"})
+    result = run(tmp_path / "answers.jsonl")
+    assert result.exit_code == 1, result.output
+    assert result.stderr == "error: question 'q0': question must be non-empty\n"
 
 
 def test_mimic_runs_max_in_flight_records_at_once(tmp_path):
