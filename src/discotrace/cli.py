@@ -79,10 +79,11 @@ def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> list:
             return run_one(record)
         except _BACKEND_ERRORS:
             raise
-        except (DiscoTraceError, KeyError, ValueError) as exc:
+        except (DiscoTraceError, *_INPUT_ERRORS) as exc:
             record_id = record.get(id_key)
             name = repr(record_id) if isinstance(record_id, str) else f"#{position}"
-            raise ValueError(f"{noun} {name}: {exc}") from exc
+            message = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{noun} {name}: {message}") from exc
 
     before = gateway.live_tally()
     out_records = []
@@ -174,7 +175,7 @@ def interp_cmd(in_path, out_path, config_path):
     """Generate and deduplicate the interpretation space per question."""
     config = _load_config(config_path)
     if not config.interp_generators or config.embedder is None:
-        raise ValueError("config must define interp_generators and embedder")
+        raise ValueError(f"config {config_path}: must define interp_generators and embedder")
 
     def run_one(record):
         space, warnings = build_space(
@@ -205,7 +206,7 @@ def trace_cmd(in_path, questions_path, spaces_path, out_path, config_path):
     """Produce the full discourse trace for each answer."""
     config = _load_config(config_path)
     if config.act_labeler is None:
-        raise ValueError("config must define act_labeler")
+        raise ValueError(f"config {config_path}: must define act_labeler")
     ontology = load_ontology(config.ontology_path)
     questions = dict(corpus_io.read_corpus(
         questions_path, view=lambda r: (corpus_io.typed(r, "post_id", str), r["title"])))
@@ -372,7 +373,7 @@ def mimic_cmd(in_path, out_path, config_path, subreddit, explanation,
     config = _load_config(config_path)
     backend = config.answer_generator
     if backend is None:
-        raise ValueError("config must define answer_generator")
+        raise ValueError(f"config {config_path}: must define answer_generator")
     guidelines = Path(guidelines_file).read_text()
 
     def run_one(record):

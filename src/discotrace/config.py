@@ -27,43 +27,65 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: Optional[Path] = None) -> "PipelineConfig":
+        """A config from its JSON object; a value of the wrong shape raises ``ValueError``
+        naming its key."""
         def spec_of(spec):
+            if not isinstance(spec, dict):
+                raise TypeError(f"a backend cannot be {type(spec).__name__}")
             spec = dict(spec)
-            if spec.get("fixture_path") and base_dir is not None:
+            if isinstance(spec.get("fixture_path"), str) and base_dir is not None:
                 spec["fixture_path"] = str((base_dir / spec["fixture_path"]).resolve())
-            return BackendSpec.from_dict(spec)
+            backend = BackendSpec.from_dict(spec)
+            if backend.kind == "mock" and not Path(backend.fixture_path or "").is_file():
+                raise ValueError(f"a mock's fixture_path must name a file, not "
+                                 f"{backend.fixture_path!r}")
+            return backend
 
-        def backend(key):
-            return None if doc.get(key) is None else spec_of(doc[key])
+        def entry(key, kind, build, default=None):
+            """``build(doc[key])`` for a ``kind`` value, ``default`` when it is absent or null."""
+            value = doc.get(key)
+            if value is None:
+                return default
+            if not isinstance(value, kind):
+                raise ValueError(f"{key} cannot be {type(value).__name__}")
+            try:
+                return build(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{key}: {exc}") from exc
 
-        ontology_path = doc.get("ontology_path")
-        if ontology_path is not None:
+        def ontology_at(path):
             if base_dir is not None:
-                ontology_path = str((base_dir / ontology_path).resolve())
-            if not Path(ontology_path).exists():
-                raise FileNotFoundError(f"ontology_path {ontology_path!r} does not exist")
+                path = str((base_dir / path).resolve())
+            if not Path(path).exists():
+                raise ValueError(f"{path!r} does not exist")
+            return path
 
-        smoothing_doc = doc.get("smoothing", {})
-        threshold = float(doc.get("dedup_threshold", DEFAULT_DEDUP_THRESHOLD))
+        threshold = entry("dedup_threshold", (int, float), float, DEFAULT_DEDUP_THRESHOLD)
         if not 0 < threshold <= 1:
             raise ValueError("dedup_threshold must be in (0, 1]")
-
         return cls(
-            act_labeler=backend("act_labeler"),
-            interp_generators=[spec_of(spec) for spec in doc.get("interp_generators", [])],
-            interp_labeler=backend("interp_labeler"),
-            embedder=backend("embedder"),
-            answer_generator=backend("answer_generator"),
-            ontology_path=ontology_path,
-            boundary=BoundaryConfig.from_dict(doc.get("boundary", {})),
-            smoothing=Smoothing(
-                mode=smoothing_doc.get("mode", "add_lambda"),
-                lam=float(smoothing_doc.get("lambda", 1.0)),
-            ),
+            act_labeler=entry("act_labeler", dict, spec_of),
+            interp_generators=entry("interp_generators", list,
+                                    lambda specs: [spec_of(spec) for spec in specs], []),
+            interp_labeler=entry("interp_labeler", dict, spec_of),
+            embedder=entry("embedder", dict, spec_of),
+            answer_generator=entry("answer_generator", dict, spec_of),
+            ontology_path=entry("ontology_path", str, ontology_at),
+            boundary=entry("boundary", dict, BoundaryConfig.from_dict, BoundaryConfig()),
+            smoothing=entry("smoothing", dict, lambda given: Smoothing(
+                mode=given.get("mode", "add_lambda"), lam=float(given.get("lambda", 1.0))),
+                Smoothing()),
             dedup_threshold=threshold,
         )
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
+        """Read a config file; an error in its content is a ``ValueError`` naming the file."""
         path = Path(path)
-        return cls.from_dict(json.loads(path.read_text()), base_dir=path.parent)
+        try:
+            doc = json.loads(path.read_text())
+            if not isinstance(doc, dict):
+                raise ValueError("expected a JSON object")
+            return cls.from_dict(doc, base_dir=path.parent)
+        except ValueError as exc:
+            raise ValueError(f"config {path}: {exc}") from exc

@@ -117,14 +117,21 @@ class FilterConfig:
 
 
 class _Title(NamedTuple):
-    """A post's title as given, lowered, and as the set of its lowered words."""
+    """A post's title as given; its lowered words joined by single spaces, with one
+    more at each end, so that a phrase matches only whole words; and their set."""
     text: str
-    lowered: str
+    spaced: str
     words: set
 
 
 _WORD_RE = re.compile(r"[\w']+")
 _SENTENCE_THEN_TEXT_RE = re.compile(r"[.!?]\s+\S")
+
+
+def _has_phrase(title: _Title, phrases) -> bool:
+    """Whether one of ``phrases`` occurs in the title as whole words."""
+    return any(f" {' '.join(_WORD_RE.findall(x.lower()))} " in title.spaced for x in phrases)
+
 
 #: (rule name, predicate(post, title, config) true when the post fails the rule),
 #: in application order.
@@ -144,8 +151,8 @@ _RULES = (
     ("profanity",
      lambda p, t, c: p.profanity_prob is not None and p.profanity_prob > c.profanity_threshold),
     ("first_person", lambda p, t, c: not t.words.isdisjoint(c.first_person)),
-    ("relationship_term", lambda p, t, c: any(x in t.lowered for x in c.relationship_terms)),
-    ("validation_seeking", lambda p, t, c: any(x in t.lowered for x in c.validation_phrases)),
+    ("relationship_term", lambda p, t, c: _has_phrase(t, c.relationship_terms)),
+    ("validation_seeking", lambda p, t, c: _has_phrase(t, c.validation_phrases)),
 )
 
 #: Rejection rule names in application order.
@@ -168,8 +175,8 @@ def filter_posts(
     tally["missing_profanity_score"] = 0
     for post in posts:
         text = post.title or ""
-        lowered = text.lower()
-        title = _Title(text, lowered, set(_WORD_RE.findall(lowered)))
+        words = _WORD_RE.findall(text.lower())
+        title = _Title(text, f" {' '.join(words)} ", set(words))
         rule = next((name for name, fails in _RULES if fails(post, title, config)), None)
         if rule is None:
             if post.profanity_prob is None:
@@ -239,9 +246,9 @@ def read_corpus(path, view=None) -> list:
                     try:
                         record = view(record)
                     except (KeyError, TypeError, ValueError, UnknownActId) as exc:
-                        raise MalformedLine(
-                            number, f"unreadable record ({type(exc).__name__}: {exc})"
-                        ) from exc
+                        message = (f"missing field {exc}" if isinstance(exc, KeyError)
+                                   else f"unreadable record ({type(exc).__name__}: {exc})")
+                        raise MalformedLine(number, message) from exc
                 records.append(record)
     finally:
         if was_enabled:

@@ -63,7 +63,7 @@ class MixedForm(UnparsableResponse):
     """Response mixes whole-segment and per-subsegment assignment forms."""
 
 
-class UnknownInterpretationId(DiscoTraceError):
+class UnknownInterpretationId(UnparsableResponse):
     pass
 
 

@@ -3,7 +3,8 @@
 This is the only module that performs network I/O or asks a request again.
 Live backends speak an OpenAI-style wire format with a configurable auth
 header and response content path, retry transient failures with exponential
-backoff, and re-ask a reply that fails to parse (:func:`ask`). Mock
+backoff, and re-ask a reply that fails to parse. :func:`ask` judges every
+chat reply the pipeline reads: tags, interpretations and pairings. Mock
 backends replay recorded fixtures: JSONL lines of
 ``{"request_digest": ..., "response_text": ...}`` keyed by a SHA-256
 digest of the request's canonical JSON, so replays are deterministic and
@@ -18,7 +19,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import (
@@ -56,9 +57,18 @@ class BackendSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BackendSpec":
+        """A spec from its config entry. An unknown key, or a value of another type than
+        its field's default (text where that is None), raises naming the key."""
         doc = dict(doc)
-        if "content_path" in doc:
+        if isinstance(doc.get("content_path"), list):
             doc["content_path"] = tuple(doc["content_path"])
+        defaults = {f.name: f.default for f in fields(cls)}
+        for key, value in doc.items():
+            if key not in defaults:
+                raise ValueError(f"unknown key {key!r}")
+            kind = str if defaults[key] is None else type(defaults[key])
+            if type(value) is not kind and not (value is None and defaults[key] is None):
+                raise TypeError(f"{key} cannot be {type(value).__name__}")
         return cls(**doc)
 
 
@@ -240,34 +250,39 @@ def complete(backend: BackendSpec, request: ChatRequest) -> str:
         body["max_tokens"] = request.max_tokens
     payload = _post_with_retries(backend, body)
     try:
-        return _extract(payload, backend.content_path)
-    except (KeyError, IndexError, TypeError) as exc:
-        raise TransportError(f"response missing content at {backend.content_path}") from exc
+        text = _extract(payload, backend.content_path)
+    except (KeyError, IndexError, TypeError):
+        text = None
+    if not isinstance(text, str):
+        raise TransportError(f"response missing content at {backend.content_path}")
+    return text
 
 
 def ask(backend: BackendSpec, request: ChatRequest, parse):
-    """Complete and parse one request; returns (parsed, None) or (None, (kind, message)).
+    """Complete and parse one request; returns (parsed, None) or (None, (kind, message,
+    asks)): kind "parse" or "transport", the last error's message, and the number of
+    ``complete`` calls made. Every model reply the pipeline reads is judged here.
 
     Only a live backend asks again, and only when a reply fails to parse, up
     to ``retry_limit`` times: a mock replays the same reply, and ``complete``
-    has spent the retries on a transport failure. The message ends with the
-    attempt budget. A failure keeps only its message: its traceback would
-    keep the caller's frames, and so the whole answer, in a reference cycle.
+    has spent the retries on a transport failure. A fixture miss or an auth
+    error raises. A failure keeps only its message: its traceback would keep
+    the caller's frames, and so the whole answer, in a reference cycle.
     """
-    attempts = backend.retry_limit + 1
-    for _ in range(attempts if backend.kind == "live" else 1):
+    limit = backend.retry_limit + 1 if backend.kind == "live" else 1
+    for asks in range(1, limit + 1):
         try:
             return parse(complete(backend, request)), None
         except UnparsableResponse as exc:
-            failure = ("parse", str(exc))
+            failure = ("parse", str(exc), asks)
         except TransportError as exc:
-            failure = ("transport", str(exc))
-            break
-    return None, (failure[0], f"{failure[1]} after {attempts} attempts")
+            return None, ("transport", str(exc), asks)
+    return None, failure
 
 
 def embed(backend: BackendSpec, texts: list[str]) -> list[list[float]]:
-    """Return one fixed-dimension vector per input text."""
+    """Return one fixed-dimension vector per input text. A reply that is not a list
+    of number vectors raises ``TransportError``, as a chat reply without text does."""
     if backend.kind == "mock":
         entries = _mock_entries(backend)
         vectors = []
@@ -278,9 +293,13 @@ def embed(backend: BackendSpec, texts: list[str]) -> list[list[float]]:
             vectors.append(json.loads(entries[digest]))
     else:
         payload = _post_with_retries(backend, {"model": backend.model, "input": texts})
-        data = _extract(payload, DEFAULT_EMBEDDING_PATH)
-        vectors = [item["embedding"] for item in data]
-
+        try:
+            vectors = [item["embedding"] for item in _extract(payload, DEFAULT_EMBEDDING_PATH)]
+        except (KeyError, IndexError, TypeError):
+            vectors = None
+    if not isinstance(vectors, list) or not all(
+            isinstance(v, list) and all(type(x) in (int, float) for x in v) for v in vectors):
+        raise TransportError("embedding reply is not a list of number vectors")
     dims = {len(v) for v in vectors}
     if len(dims) > 1:
         raise EmbeddingDimensionMismatch(f"mixed embedding dimensions {sorted(dims)}")

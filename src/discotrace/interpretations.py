@@ -10,11 +10,11 @@ assigned in member-creation order ("id_1", "id_2", ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 from . import gateway
 from .corpus import typed
-from .errors import DiscoTraceError, EmbeddingDimensionMismatch
+from .errors import EmbeddingDimensionMismatch, TransportError, UnparsableResponse
 from .gateway import BackendSpec
 from .prompts import build_interp_gen_prompt, parse_interp_list
 
@@ -59,7 +59,8 @@ class InterpretationSpace:
             question_id=typed(doc, "question_id", str),
             dedup_threshold=doc.get("threshold", DEFAULT_DEDUP_THRESHOLD),
             members=[
-                Interpretation(id=m["id"], text=m["text"], sources=set(m.get("sources", [])))
+                Interpretation(id=typed(m, "id", str), text=typed(m, "text", str),
+                               sources=set(m.get("sources", [])))
                 for m in doc.get("members", [])
             ],
         )
@@ -72,29 +73,26 @@ def generate_raw(
 ) -> tuple[list[tuple[str, str]], list[str]]:
     """Pool raw interpretations across generator backends.
 
-    Returns (pooled items, warnings). A backend failure with at least one
-    success degrades to a partial pool; warnings carry the failures. All
-    backends failing raises the last error.
+    Returns (pooled items, warnings). Each reply is judged by ``gateway.ask``; a
+    backend whose reply never parses, or whose transport fails, is left out of the
+    pool with a warning. When every backend fails, the last failure raises as
+    ``UnparsableResponse`` or ``TransportError``. A fixture miss or an auth error
+    raises at once.
     """
     if not backends:
         raise ValueError("at least one generator backend required")
     pooled: list[tuple[str, str]] = []
     warnings: list[str] = []
-    last_error: Optional[Exception] = None
-    successes = 0
     for backend in backends:
         request = build_interp_gen_prompt(question, community_context, backend.model)
-        try:
-            raw = gateway.complete(backend, request)
-            texts = parse_interp_list(raw)
-        except DiscoTraceError as exc:
-            warnings.append(f"generator {backend.name}: {exc}")
-            last_error = exc
-            continue
-        successes += 1
-        pooled.extend((backend.name, text) for text in texts)
-    if successes == 0 and last_error is not None:
-        raise last_error
+        texts, failure = gateway.ask(backend, request, parse_interp_list)
+        if failure is None:
+            pooled.extend((backend.name, text) for text in texts)
+        else:
+            warnings.append(f"generator {backend.name}: {failure[1]}")
+    if len(warnings) == len(backends):
+        kind, message, _ = failure
+        raise (TransportError if kind == "transport" else UnparsableResponse)(message)
     return pooled, warnings
 
 

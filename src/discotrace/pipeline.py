@@ -7,8 +7,9 @@ one extends that step, so no two adjacent steps share an act. Pairing asks
 about each eligible step's EDU text, read from the tree. Per-segment failures
 degrade to NONE with a diagnostic rather than aborting the answer (a mock
 fixture miss is a configuration error and still raises).
-Each request goes through :func:`gateway.ask`, which alone decides how
-often it is asked and words the failure message a diagnostic quotes.
+Each request goes through :func:`gateway.ask`, which alone judges its reply
+and decides how often it is asked. Both stages word a failure with
+``_ask``: its kind, segment, message, the asks made and the request digest.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Optional
 
 from . import gateway
 from .corpus import typed
-from .errors import UnknownInterpretationId
 from .gateway import BackendSpec
 from .interpretations import InterpretationSpace
 from .ontology import NONE_ACT_ID, Ontology, is_eligible
@@ -76,7 +76,7 @@ class DiscoTrace:
                 TraceStep(
                     act_id=s["act_id"],
                     edu_indices=tuple(s.get("edu_indices", [])),
-                    interpretation_id=s.get("interpretation_id"),
+                    interpretation_id=typed(s, "interpretation_id", (str, type(None)), None),
                 )
                 for s in doc.get("steps", [])
             ],
@@ -114,14 +114,8 @@ def tag_answer(
             head=head,
         )
         head = request.head
-        assignments, failure = gateway.ask(
-            backend, request, lambda raw: parse_act_response(raw, ontology, len(subsegments))
-        )
-        if failure is not None:
-            diagnostics.append(
-                f"{failure[0]} failure on segment {segment.edu_indices}: {failure[1]}; "
-                f"assigned NONE (request digest {gateway.request_digest(request)})"
-            )
+        assignments = _ask(backend, request, segment.edu_indices, "act", diagnostics,
+                           lambda raw: parse_act_response(raw, ontology, len(subsegments)))
 
         pieces = _assignments_to_pieces(segment, assignments)
         for indices, act_id in pieces:
@@ -134,6 +128,18 @@ def tag_answer(
         prev_label = pieces[-1][1]
 
     return tagged, diagnostics
+
+
+def _ask(backend, request, edu_indices, what: str, diagnostics: list, parse):
+    """``gateway.ask``'s parsed reply, or None after noting the failure in ``diagnostics``
+    with its kind, segment, message, the asks made and the request digest."""
+    parsed, failure = gateway.ask(backend, request, parse)
+    if failure is not None:
+        kind, message, asks = failure
+        diagnostics.append(
+            f"{kind} failure on segment {edu_indices} after {asks} ask{'s' * (asks != 1)}: "
+            f"{message}; {what} set to NONE (request digest {gateway.request_digest(request)})")
+    return parsed
 
 
 def _assignments_to_pieces(segment: ActionSegment, assignments) -> list[tuple[tuple, str]]:
@@ -172,9 +178,9 @@ def pair_interpretations(
 ) -> DiscoTrace:
     """Copy ``tagged`` into a trace, attaching interpretation ids to eligible steps.
 
-    Ineligible acts and empty spaces skip the labeler call entirely.
-    Unknown ids, transport failures and replies that never parse degrade
-    to no interpretation, with a diagnostic.
+    Ineligible acts and empty spaces skip the labeler call entirely. A
+    reply that never parses, an unknown id among them, or a transport
+    failure leaves the step without an interpretation, with a diagnostic.
     """
     trace = DiscoTrace(
         answer_id=answer_id,
@@ -199,15 +205,8 @@ def pair_interpretations(
                 head=head,
             )
             head = request.head
-            try:
-                interpretation_id, failure = gateway.ask(
-                    backend, request, lambda raw: parse_interp_label(raw, known_ids)
-                )
-            except UnknownInterpretationId as exc:
-                failure = ("unknown id", str(exc))
-            if failure is not None:
-                trace.diagnostics.append(
-                    f"segment {step.edu_indices}: {failure[1]}; treated as NONE"
-                )
+            interpretation_id = _ask(backend, request, step.edu_indices, "interpretation",
+                                     trace.diagnostics,
+                                     lambda raw: parse_interp_label(raw, known_ids))
         trace.steps.append(replace(step, interpretation_id=interpretation_id))
     return trace

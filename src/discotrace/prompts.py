@@ -329,11 +329,11 @@ def parse_act_response(raw: str, ontology: Ontology, n_subsegments: int) -> list
         if not isinstance(entry, dict) or "action_id" not in entry:
             raise UnparsableResponse(f"entry missing action_id: {entry!r}")
         act_id = entry["action_id"]
-        if act_id != NONE_ACT_ID and act_id not in ontology:
+        if not isinstance(act_id, str) or act_id != NONE_ACT_ID and act_id not in ontology:
             raise InvalidActId(f"unknown act id {act_id!r}")
         index = entry.get("subsegment_index")
         if index is not None:
-            if not isinstance(index, int) or not 0 <= index < n_subsegments:
+            if type(index) is not int or not 0 <= index < n_subsegments:  # bool is no index
                 raise IndexOutOfRange(f"subsegment_index {index!r} out of range")
             if index in seen_indices:
                 raise IndexOutOfRange(f"duplicate subsegment_index {index}")
@@ -383,6 +383,6 @@ def parse_interp_label(raw: str, known_ids: set[str]) -> Optional[str]:
     iid = data["interpretation_id"]
     if isinstance(iid, str) and iid.strip().upper() == "NONE":
         return None
-    if iid not in known_ids:
+    if not isinstance(iid, str) or iid not in known_ids:
         raise UnknownInterpretationId(f"unknown interpretation id {iid!r}")
     return iid

@@ -294,7 +294,7 @@ def test_trace_question_without_title_fails_before_any_call(tmp_path, monkeypatc
     result = invoke("trace", "--in", str(answers), "--questions", str(questions),
                     "--out", str(out), "--config", str(config_path))
     assert result.exit_code == 1, result.output
-    assert result.stderr == "error: line 2: unreadable record (KeyError: 'title')\n"
+    assert result.stderr == "error: line 2: missing field 'title'\n"
     assert complete_calls == []
     assert out.read_text() == "kept\n"
 
@@ -613,7 +613,7 @@ def test_config_dedup_threshold_outside_unit_interval_exit_1(tmp_path, threshold
     result = invoke("model", "--in", str(src), "--out", str(tmp_path / "m.json"),
                     "--config", str(config))
     assert result.exit_code == 1, result.output
-    assert result.stderr == "error: dedup_threshold must be in (0, 1]\n"
+    assert result.stderr == f"error: config {config}: dedup_threshold must be in (0, 1]\n"
 
 
 def test_compare_command_identical_corpora(tmp_path):
@@ -1000,11 +1000,12 @@ def test_interp_command_equals_build_space_per_question(tmp_path):
     }))
     for i, title in enumerate(titles):
         for k, model in enumerate(("ma", "mb")):
-            if (i, model) == (3, "mb"):
-                continue  # this generator misses, so the space carries a warning
             texts = [f"Shared reading {i}", f"Reading {i} of {model}"]
+            reply = f"1. {texts[0]}\n2. {texts[1]}"
+            if (i, model) == (3, "mb"):
+                reply = "no list"  # this generator's reply never parses: the space warns
             request = build_interp_gen_prompt(title, "", model)
-            append_fixture(fixture, request_digest(request), f"1. {texts[0]}\n2. {texts[1]}")
+            append_fixture(fixture, request_digest(request), reply)
             append_fixture(fixture, text_digest("me", texts[0]), json.dumps([1.0, 0.0, 0.0]))
             append_fixture(fixture, text_digest("me", texts[1]), json.dumps([0.1, k, 1 - k]))
 
@@ -1022,3 +1023,68 @@ def test_interp_command_equals_build_space_per_question(tmp_path):
     assert any("warnings" in doc for doc in expected)
     write_corpus(tmp_path / "expected.jsonl", expected)
     assert out.read_text() == (tmp_path / "expected.jsonl").read_text()
+
+
+# (config document, or its text, and how its error goes on after naming the file)
+BAD_CONFIGS = [
+    ({"act_labeler": {"kind": "mock", "fixture": "f.jsonl"}},
+     "act_labeler: unknown key 'fixture'"),
+    ({"act_labeler": {"kind": "live", "max_in_flight": "4"}},
+     "act_labeler: max_in_flight cannot be str"),
+    ({"interp_generators": [7]}, "interp_generators: a backend cannot be int"),
+    ({"boundary": {"boundary_pairs": 7}}, "boundary: "),
+    ([1, 2], "expected a JSON object"),
+    ({"ontology_path": 7}, "ontology_path cannot be int"),
+    ({"smoothing": 7}, "smoothing cannot be int"),
+    ({"act_labeler": {"kind": "mock", "fixture_path": "missing.jsonl"}},
+     "act_labeler: a mock's fixture_path must name a file"),
+    ("{not json", "Expecting property name"),
+]
+
+
+@pytest.mark.parametrize("doc, named", BAD_CONFIGS)
+def test_a_config_of_the_wrong_shape_names_the_file_and_key(tmp_path, doc, named):
+    src = tmp_path / "answers.jsonl"
+    write_jsonl(src, [{"answer_id": "a1", "question_id": "q1", "rst_tree": {"edu": "e"}}])
+    config = tmp_path / "config.json"
+    config.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    result = invoke("segment", "--in", str(src), "--out", str(tmp_path / "o.jsonl"),
+                    "--config", str(config))
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith(f"error: config {config}: {named}"), result.stderr
+
+
+def test_a_missing_field_is_named(tmp_path):
+    src = tmp_path / "answers.jsonl"
+    write_jsonl(src, [{"answer_id": "a1", "question_id": "q1"}])
+    result = invoke("segment", "--in", str(src), "--out", str(tmp_path / "o.jsonl"))
+    assert result.exit_code == 1, result.output
+    assert result.stderr == "error: answer 'a1': missing field 'rst_tree'\n"
+
+    write_jsonl(src, [trace_record("a1", "q1", ["action_AQ_assert_answer"]),
+                      {"answer_id": "a2", "steps": [{"edu_indices": [0]}]}])
+    result = invoke("model", "--in", str(src), "--out", str(tmp_path / "m.json"))
+    assert result.exit_code == 1, result.output
+    assert result.stderr == "error: line 2: missing field 'act_id'\n"
+
+
+def test_interp_stops_on_a_generator_fixture_miss(tmp_path):
+    questions = tmp_path / "questions.jsonl"
+    write_jsonl(questions, [{"post_id": "q1", "title": "Why is the sky blue?"}])
+    fixture = tmp_path / "interp.jsonl"
+    request = build_interp_gen_prompt("Why is the sky blue?", "", "ma")
+    append_fixture(fixture, request_digest(request), "1. Physically, why?")
+    append_fixture(fixture, text_digest("me", "Physically, why?"), "[1.0, 0.0]")
+    mock = {"kind": "mock", "fixture_path": "interp.jsonl"}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "interp_generators": [{**mock, "name": "gen_a", "model": "ma"},
+                              {**mock, "name": "gen_b", "model": "mb"}],
+        "embedder": {**mock, "name": "embed", "model": "me"},
+    }))
+    out = tmp_path / "spaces.jsonl"
+    result = invoke("interp", "--in", str(questions), "--out", str(out), "--config", str(config))
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: no fixture entry for request digest ")
+    assert out.read_text() == ""

@@ -281,3 +281,21 @@ def test_raw_post_from_dict_defaults():
     assert p.title == ""
     assert p.profanity_prob is None
     assert p.comments == []
+
+
+@pytest.mark.parametrize("title", [
+    "Why did the enemy husband of Cleopatra flee Rome?",
+    "How does an economy family budget differ from a household one?",
+    "What basis this normal form rests on in Codd's theory?",
+])
+def test_phrase_rules_match_whole_words_only(title):
+    kept, tally = filter_posts([post(title)])
+    assert len(kept) == 1, tally
+
+
+def test_phrase_rules_match_across_punctuation_and_spacing():
+    kept, tally = filter_posts([post("Why is this,  normal for Roman legionaries?"),
+                                post("Why does my ex-husband collect coins?")],
+                               FilterConfig(first_person=()))
+    assert kept == []
+    assert tally["validation_seeking"] == 1 and tally["relationship_term"] == 1

@@ -346,3 +346,41 @@ def test_live_embedding(stub_server):
     backend = BackendSpec(kind="live", endpoint=stub_server, model="emb", retry_limit=0)
     assert embed(backend, ["x", "y"]) == [[0.1, 0.2], [0.3, 0.4]]
     assert _StubHandler.seen[0] == {"model": "emb", "input": ["x", "y"]}
+
+
+@pytest.mark.parametrize("message", [{"content": None}, {"content": 7}, {}])
+def test_live_reply_without_text_is_a_transport_error(stub_server, message):
+    _StubHandler.responses = [(200, {"choices": [{"message": message}]})]
+    backend = BackendSpec(kind="live", endpoint=stub_server, retry_limit=0)
+    with pytest.raises(TransportError, match="response missing content at"):
+        complete(backend, make_request())
+
+
+@pytest.mark.parametrize("payload", [
+    {"data": [{"embedding": None}]}, {"data": 7}, {"data": [{"embedding": ["x"]}]},
+    {"data": [{"embedding": [True]}]}, {"data": [7]}, [],
+])
+def test_live_embedding_reply_of_the_wrong_shape_is_a_transport_error(stub_server, payload):
+    _StubHandler.responses = [(200, payload)]
+    backend = BackendSpec(kind="live", endpoint=stub_server, model="emb", retry_limit=0)
+    with pytest.raises(TransportError, match="embedding reply is not a list of number vectors"):
+        embed(backend, ["x"])
+
+
+def test_mock_embedding_that_is_not_a_vector_is_a_transport_error(tmp_path):
+    fixture = tmp_path / "embed.jsonl"
+    append_fixture(fixture, text_digest("emb", "x"), json.dumps({"v": 1}))
+    backend = BackendSpec(kind="mock", model="emb", fixture_path=str(fixture))
+    with pytest.raises(TransportError):
+        embed(backend, ["x"])
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"fixture": "f.jsonl"}, "unknown key 'fixture'"),
+    ({"max_in_flight": "4"}, "max_in_flight cannot be str"),
+    ({"retry_limit": True}, "retry_limit cannot be bool"),
+    ({"auth_env": 7}, "auth_env cannot be int"),
+])
+def test_backend_spec_from_dict_names_a_key_of_the_wrong_shape(doc, named):
+    with pytest.raises((TypeError, ValueError), match=named):
+        BackendSpec.from_dict({"kind": "live", **doc})

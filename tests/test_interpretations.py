@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from discotrace import BackendSpec, build_interp_gen_prompt, deduplicate, generate_raw
-from discotrace.errors import EmbeddingDimensionMismatch, TransportError
+from discotrace.errors import (
+    EmbeddingDimensionMismatch, FixtureMiss, TransportError, UnparsableResponse,
+)
 from discotrace.gateway import append_fixture, request_digest
 from discotrace.interpretations import InterpretationSpace, build_space
+
+from conftest import http_stub
 
 
 def hash_embedder(texts):
@@ -163,3 +167,34 @@ def test_build_space(tmp_path):
     assert space.question_id == "q1"
     assert len(space) == 1
     assert warnings == []
+
+
+def test_generate_raw_fixture_miss_stops_the_pool(tmp_path):
+    good = make_gen_backend(tmp_path, "b", "Q?", "ctx", "1. Only?")
+    missing = BackendSpec(kind="mock", name="a", model="a-model",
+                          fixture_path=str(tmp_path / "b.jsonl"))
+    with pytest.raises(FixtureMiss):
+        generate_raw("Q?", "ctx", [missing, good])
+
+
+def test_generate_raw_every_reply_unparsable_raises_the_last_message(tmp_path):
+    backends = [
+        make_gen_backend(tmp_path, "a", "Q?", "ctx", "no list"),
+        make_gen_backend(tmp_path, "b", "Q?", "ctx", "no list either"),
+    ]
+    with pytest.raises(UnparsableResponse, match="neither NONE nor a numbered list"):
+        generate_raw("Q?", "ctx", backends)
+    pooled, warnings = generate_raw("Q?", "ctx", [backends[0], make_gen_backend(
+        tmp_path, "c", "Q?", "ctx", "1. C?")])
+    assert pooled == [("c", "C?")]
+    assert warnings == ["generator a: neither NONE nor a numbered list"]
+
+
+def test_generate_raw_asks_a_live_generator_again():
+    replies = iter(["no list", "1. Live?"])
+    with http_stub(lambda body: (200, {"choices": [{"message": {"content": next(replies)}}]})
+                   ) as (endpoint, stats):
+        backend = BackendSpec(kind="live", name="a", endpoint=endpoint, retry_limit=1)
+        pooled, warnings = generate_raw("Q?", "ctx", [backend])
+    assert stats.posts == 2
+    assert pooled == [("a", "Live?")] and warnings == []

@@ -319,9 +319,8 @@ def test_outage_tagging_posts_retry_limit_plus_one_per_segment(tmp_path, monkeyp
     assert len(diagnostics) == 2
     for index, diagnostic in enumerate(diagnostics):
         assert re.fullmatch(
-            rf"transport failure on segment \({index},\): exhausted 3 retries: "
-            r"backend returned 503 after 4 attempts; assigned NONE "
-            r"\(request digest [0-9a-f]{64}\)",
+            rf"transport failure on segment \({index},\) after 1 ask: exhausted 3 "
+            r"retries: backend returned 503; act set to NONE \(request digest [0-9a-f]{64}\)",
             diagnostic,
         ), diagnostic
 
@@ -337,15 +336,17 @@ def test_outage_pairing_posts_retry_limit_plus_one(tmp_path, monkeypatch):
         )
     assert stats.posts == 4
     assert trace.steps[0].interpretation_id is None
-    assert trace.diagnostics == [
-        "segment (0,): exhausted 3 retries: backend returned 503 after 4 attempts; "
-        "treated as NONE"
-    ]
+    [diagnostic] = trace.diagnostics
+    assert re.fullmatch(
+        r"transport failure on segment \(0,\) after 1 ask: exhausted 3 retries: backend "
+        r"returned 503; interpretation set to NONE \(request digest [0-9a-f]{64}\)",
+        diagnostic,
+    ), diagnostic
 
 
 def test_mock_asks_an_unparsable_reply_once(tmp_path, monkeypatch):
     # A mock replays the same reply for the same digest, so asking again is waste;
-    # the diagnostic still states the backend's attempt budget.
+    # the diagnostic states the one ask made.
     from discotrace import gateway
 
     doc = node("Contrast", "NN", leaf("first part"), leaf("second part"))
@@ -363,8 +364,8 @@ def test_mock_asks_an_unparsable_reply_once(tmp_path, monkeypatch):
     assert len(requests) == len(segments) == 2
     assert [t.act_id for t in tagged] == ["NONE"]
     assert diagnostics == [
-        f"parse failure on segment ({index},): not valid JSON: Expecting value: line 1 "
-        f"column 1 (char 0) after 4 attempts; assigned NONE "
+        f"parse failure on segment ({index},) after 1 ask: not valid JSON: Expecting "
+        f"value: line 1 column 1 (char 0); act set to NONE "
         f"(request digest {request_digest(request)})"
         for index, request in enumerate(requests)
     ]
@@ -395,5 +396,103 @@ def test_live_reply_that_never_parses_spends_the_attempt_budget():
     assert stats.posts == 3
     assert [t.act_id for t in tagged] == ["NONE"]
     assert len(diagnostics) == 1
-    assert diagnostics[0].startswith("parse failure on segment (0,): not valid JSON")
-    assert " after 3 attempts; assigned NONE (request digest " in diagnostics[0]
+    assert diagnostics[0].startswith("parse failure on segment (0,) after 3 asks: not valid JSON")
+    assert "; act set to NONE (request digest " in diagnostics[0]
+
+
+def _count_complete_calls(monkeypatch):
+    from discotrace import gateway
+
+    calls, complete = [], gateway.complete
+    monkeypatch.setattr(gateway, "complete", lambda b, r: calls.append(r) or complete(b, r))
+    return calls
+
+
+def _stated_asks(diagnostic):
+    return int(re.search(r" after (\d+) asks?: ", diagnostic).group(1))
+
+
+@pytest.mark.parametrize("stage", ["tag", "pair"])
+@pytest.mark.parametrize("kind, status, reply, asks", [
+    ("mock", None, "utter garbage", 1),
+    ("live", 200, "utter garbage", 4),
+    ("live", 503, None, 1),
+])
+def test_each_diagnostic_states_the_complete_calls_made(
+        tmp_path, monkeypatch, stage, kind, status, reply, asks):
+    monkeypatch.setattr("discotrace.gateway.time.sleep", lambda s: None)
+    tree = parse_rst_tree({"edu": "hello there"})
+    tagged = [TraceStep(edu_indices=(0,), act_id="action_AQ_assert_answer")]
+
+    def run(backend):
+        if stage == "tag":
+            return tag_answer("Q?", "hello there", segment_answer(tree), tree, load_ont(),
+                              backend)[1]
+        return pair_interpretations("Q?", make_space(), tagged, "hello there", load_ont(),
+                                    backend, tree=tree).diagnostics
+
+    if kind == "mock":
+        backend = mock_backend(tmp_path, retry_limit=3)
+        record_fixture_by_replay(backend.fixture_path, lambda: run(backend), lambda r: reply)
+        calls = _count_complete_calls(monkeypatch)
+        [diagnostic] = run(backend)
+    else:
+        calls = _count_complete_calls(monkeypatch)
+        with http_stub(lambda body: (status, {"choices": [{"message": {"content": reply}}]})
+                       ) as (endpoint, stats):
+            [diagnostic] = run(BackendSpec(kind="live", endpoint=endpoint, retry_limit=3))
+        assert stats.posts == 4  # one POST per ask, or all four in the one ask of an outage
+    assert len(calls) == asks
+    assert _stated_asks(diagnostic) == asks
+    assert diagnostic.startswith(f"{'parse' if reply else 'transport'} failure on segment (0,) ")
+    what = "act" if stage == "tag" else "interpretation"
+    assert f"; {what} set to NONE (request digest {request_digest(calls[0])})" in diagnostic
+
+
+def test_live_unknown_interpretation_id_is_asked_again():
+    replies = iter(['[{"interpretation_id": "id_99"}]', '[{"interpretation_id": "id_2"}]'])
+    tagged = [TraceStep(edu_indices=(0,), act_id="action_AQ_assert_answer")]
+    with http_stub(lambda body: _chat_reply(next(replies))) as (endpoint, stats):
+        backend = BackendSpec(kind="live", endpoint=endpoint, retry_limit=3)
+        trace = pair_interpretations("Q?", make_space(), tagged, "answer", load_ont(),
+                                     backend, tree=PAIR_TREE)
+    assert stats.posts == 2
+    assert [s.interpretation_id for s in trace.steps] == ["id_2"]
+    assert trace.diagnostics == []
+
+
+@pytest.mark.parametrize("reply", [
+    '[{"action_id": ["action_AQ_assert_answer"]}]',
+    '[{"action_id": "action_AQ_assert_answer", "subsegment_index": false}]',
+])
+def test_act_reply_of_the_wrong_shape_is_asked_again_live_and_once_on_a_mock(
+        tmp_path, reply):
+    tree = parse_rst_tree({"edu": "hello there"})
+    good = single_act("action_AQ_assert_answer")
+    replies = iter([reply, good])
+    with http_stub(lambda body: _chat_reply(next(replies))) as (endpoint, stats):
+        backend = BackendSpec(kind="live", endpoint=endpoint, retry_limit=3)
+        tagged, diagnostics = tag_answer(
+            "Q?", "hello there", segment_answer(tree), tree, load_ont(), backend)
+    assert stats.posts == 2
+    assert [t.act_id for t in tagged] == ["action_AQ_assert_answer"]
+    assert diagnostics == []
+
+    (tagged, diagnostics), *_ = run_tagging(tmp_path, {"edu": "hello there"}, lambda r: reply)
+    assert [t.act_id for t in tagged] == ["NONE"]
+    assert len(diagnostics) == 1 and diagnostics[0].startswith("parse failure")
+
+
+def test_interp_reply_of_the_wrong_shape_degrades_to_no_interpretation(tmp_path):
+    backend = mock_backend(tmp_path)
+    tagged = [TraceStep(edu_indices=(0,), act_id="action_AQ_assert_answer")]
+
+    def run():
+        return pair_interpretations("Q?", make_space(), tagged, "answer", load_ont(),
+                                    backend, tree=PAIR_TREE)
+
+    trace = record_fixture_by_replay(backend.fixture_path, run,
+                                     lambda r: '[{"interpretation_id": ["id_1"]}]')
+    assert [s.interpretation_id for s in trace.steps] == [None]
+    assert len(trace.diagnostics) == 1
+    assert "unknown interpretation id ['id_1']" in trace.diagnostics[0]

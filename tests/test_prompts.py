@@ -115,6 +115,12 @@ def test_parse_act_invalid_id(ontology):
         parse_act_response('[{"action_id":"action_ZZ_bogus"}]', ontology, 1)
 
 
+@pytest.mark.parametrize("act_id", [["action_AQ_assert_answer"], {"id": "NONE"}, 7, None])
+def test_parse_act_id_that_is_not_text(ontology, act_id):
+    with pytest.raises(InvalidActId):
+        parse_act_response(json.dumps([{"action_id": act_id}]), ontology, 1)
+
+
 def test_parse_act_none_allowed(ontology):
     parsed = parse_act_response('[{"action_id":"NONE"}]', ontology, 1)
     assert parsed[0].action_id == "NONE"
@@ -134,6 +140,13 @@ def test_parse_act_mixed_form(ontology):
 
 def test_parse_act_index_out_of_range(ontology):
     raw = '[{"subsegment_index":5,"action_id":"NONE"}]'
+    with pytest.raises(IndexOutOfRange):
+        parse_act_response(raw, ontology, 2)
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, "0"])
+def test_parse_act_index_that_is_not_an_integer(ontology, index):
+    raw = json.dumps([{"subsegment_index": index, "action_id": "NONE"}])
     with pytest.raises(IndexOutOfRange):
         parse_act_response(raw, ontology, 2)
 
@@ -236,6 +249,12 @@ def test_parse_interp_label_forms():
 def test_parse_interp_label_unknown_id():
     with pytest.raises(UnknownInterpretationId):
         parse_interp_label('[{"interpretation_id":"id_99"}]', {"id_1", "id_2", "id_3"})
+
+
+@pytest.mark.parametrize("iid", [["id_1"], {"id": "id_1"}, 1, None])
+def test_parse_interp_label_id_that_is_not_text(iid):
+    with pytest.raises(UnknownInterpretationId):
+        parse_interp_label(json.dumps([{"interpretation_id": iid}]), {"id_1"})
 
 
 def test_parse_interp_label_unparsable():
