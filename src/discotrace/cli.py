@@ -4,17 +4,19 @@ Every subcommand reads and writes JSONL. The only randomness is the question dra
 of ``sample``, fixed by its --seed; with mock backends no subcommand performs
 network I/O, so runs replay byte-identically. Exit codes: 0 success (including
 degraded runs with diagnostics), 1 input error, which names its record, 2 backend
-failure, including a batch whose live backend calls all failed. ``interp``,
-``trace`` and ``mimic-answer`` run as many records at once as the smallest
-``max_in_flight`` of their live backends, or one at a time, as ``segment`` does,
-when none is live. After a failure, ``--out`` keeps the records finished before it.
+failure, including a batch whose live backend calls all failed. With live
+backends, ``interp``, ``trace`` and ``mimic-answer`` put at most ``max_in_flight``
+requests on the wire to each endpoint (the smallest value among the backends that
+name it). A request that is backing off holds no slot, and twice as many records
+run at once as there are slots, so one record's backoff leaves no slot idle.
+With none live they run one record at a time in the calling thread, as
+``segment`` does. After a failure, ``--out`` keeps the records finished before it.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -61,9 +63,11 @@ def _load_config(path) -> PipelineConfig:
 
 def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> list:
     """Map ``run_one`` over ``in_path``'s records and write the results to ``out_path``
-    in input order; on a failure, those before the failing record. Each worker has one
-    call in flight, so there are as many as the smallest ``max_in_flight`` of the live
-    ``backends``, and one when none is live: a mock does no I/O for threads to overlap.
+    in input order; on a failure, those before the failing record. Live ``backends``
+    open :func:`gateway.in_flight`: at most ``max_in_flight`` requests on the wire per
+    endpoint, and a request that is backing off holds no slot, so the batch runs on
+    twice as many workers as slots and one record's backoff leaves no slot idle.
+    With none live it runs in the calling thread: a mock does no I/O to overlap.
     ``out_path`` is truncated before any record runs, so an unwritable one costs no work.
 
     An input error names its record, as ``noun`` and the record's ``id_key``, or its
@@ -72,7 +76,7 @@ def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> list:
     once the results are written: a total outage is a failure, not a degraded run."""
     records = corpus_io.read_corpus(in_path)
     open(out_path, "w").close()
-    live = [b.max_in_flight for b in backends if b.kind == "live"]
+    positions = range(1, len(records) + 1)
 
     def run_named(record, position):
         try:
@@ -88,8 +92,14 @@ def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> list:
     before = gateway.live_tally()
     out_records = []
     try:
-        with ThreadPoolExecutor(min(live, default=1)) as pool:
-            out_records.extend(pool.map(run_named, records, range(1, len(records) + 1)))
+        with gateway.in_flight(backends) as slots:
+            if not slots:
+                out_records.extend(map(run_named, records, positions))
+            else:
+                from concurrent.futures import ThreadPoolExecutor  # only live I/O overlaps
+
+                with ThreadPoolExecutor(2 * slots) as pool:
+                    out_records.extend(pool.map(run_named, records, positions))
     finally:
         corpus_io.write_corpus(out_path, out_records)
     replies, failures = (now - then for now, then in zip(gateway.live_tally(), before))

@@ -3,7 +3,9 @@
 This is the only module that performs network I/O or asks a request again.
 Live backends speak an OpenAI-style wire format with a configurable auth
 header and response content path, retry transient failures with exponential
-backoff, and re-ask a reply that fails to parse. :func:`ask` judges every
+backoff, and re-ask a reply that fails to parse. Inside :func:`in_flight`, a
+live request holds one of its endpoint's slots only while it is on the wire,
+never while it backs off or is asked again. :func:`ask` judges every
 chat reply the pipeline reads: tags, interpretations and pairings. Mock
 backends replay recorded fixtures: JSONL lines of
 ``{"request_digest": ..., "response_text": ...}`` keyed by a SHA-256
@@ -14,6 +16,7 @@ built from a per-answer prompt head hashes only its own tail after the head.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -43,6 +46,8 @@ class BackendSpec:
     auth_template: str = "Bearer {token}"
     auth_env: Optional[str] = None
     fixture_path: Optional[str] = None
+    # live: at most this many requests on the wire at once to the endpoint in a batch
+    # (the least among the batch's backends there); one backing off holds no slot
     max_in_flight: int = 4
     retry_limit: int = 3
     content_path: tuple = DEFAULT_CONTENT_PATH
@@ -191,22 +196,49 @@ def _count_live(outcome: str) -> None:
         _live_tally[outcome] += 1
 
 
+_slots: dict[str, threading.BoundedSemaphore] = {}
+
+
+@contextlib.contextmanager
+def in_flight(backends):
+    """Limit the live POSTs made inside the block, per endpoint, to the smallest
+    ``max_in_flight`` among the live ``backends`` that name it. Yields the number
+    of slots over all endpoints: 0 when none is live. Endpoints not named there, or
+    calls made outside any block, are not limited. The slots are process-wide, like
+    :func:`live_tally`'s counts: an inner block replaces them until it exits."""
+    global _slots
+    limits: dict[str, int] = {}
+    for backend in backends:
+        if backend.kind == "live":
+            limits[backend.endpoint] = min(backend.max_in_flight,
+                                           limits.get(backend.endpoint, backend.max_in_flight))
+    outer = _slots
+    _slots = {endpoint: threading.BoundedSemaphore(n) for endpoint, n in limits.items()}
+    try:
+        yield sum(limits.values())
+    finally:
+        _slots = outer
+
+
 def _post_with_retries(backend: BackendSpec, body: dict):
     """POST with exponential backoff on transport failures, 5xx and non-JSON bodies.
-    The outcome counts in :func:`live_tally`."""
+    Each attempt holds an endpoint slot (:func:`in_flight`) only while it is on the
+    wire. The outcome counts in :func:`live_tally`."""
     import requests  # only live backends pay for the HTTP stack
 
+    slot = _slots.get(backend.endpoint) or contextlib.nullcontext()
     last_error = None
     for attempt in range(backend.retry_limit + 1):
         if attempt:
             time.sleep(min(0.5 * 2 ** (attempt - 1), 8.0))
         try:
-            response = requests.post(
-                backend.endpoint,
-                json=body,
-                headers=_auth_headers(backend),
-                timeout=60,
-            )
+            with slot:
+                response = requests.post(
+                    backend.endpoint,
+                    json=body,
+                    headers=_auth_headers(backend),
+                    timeout=60,
+                )
         except requests.RequestException as exc:
             last_error = exc
             continue

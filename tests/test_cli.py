@@ -519,6 +519,36 @@ def test_trace_command_keeps_backend_max_in_flight(tmp_path, act_limit, interp_l
     assert stats.max_in_flight == 1
 
 
+def test_each_endpoint_keeps_its_own_limit_and_no_batch_keeps_its_slots(tmp_path):
+    questions, answers, spaces, _, config_path, _ = make_trace_inputs(tmp_path)
+    first = read_corpus(answers)[0]
+    write_jsonl(answers, [{**first, "answer_id": f"a{i}"} for i in range(6)])
+    act = {"choices": [{"message": {"content": '[{"action_id": "action_AQ_assert_answer"}]'}}]}
+    interp = {"choices": [{"message": {"content": '[{"interpretation_id": "id_1"}]'}}]}
+
+    def run(act_limit, interp_limit):
+        config_path.write_text(json.dumps({
+            "act_labeler": {"kind": "live", "endpoint": act_endpoint, "name": "act",
+                            "retry_limit": 0, "max_in_flight": act_limit},
+            "interp_labeler": {"kind": "live", "endpoint": interp_endpoint, "name": "interp",
+                               "retry_limit": 0, "max_in_flight": interp_limit},
+        }))
+        result = invoke("trace", "--in", str(answers), "--questions", str(questions),
+                        "--spaces", str(spaces), "--out", str(tmp_path / "traces.jsonl"),
+                        "--config", str(config_path))
+        assert result.exit_code == 0, result.output
+        assert (act_stats.posts, interp_stats.posts) == (6, 6)
+        peaks = act_stats.max_in_flight, interp_stats.max_in_flight
+        for stats in (act_stats, interp_stats):
+            stats.posts = stats.max_in_flight = 0
+        return peaks
+
+    with http_stub(lambda body: (200, act), delay_s=0.1) as (act_endpoint, act_stats), \
+            http_stub(lambda body: (200, interp), delay_s=0.1) as (interp_endpoint, interp_stats):
+        assert run(2, 1) == (2, 1)
+        assert run(3, 2) == (3, 2)  # the first batch's slots are gone
+
+
 def test_model_command(tmp_path):
     src = tmp_path / "traces.jsonl"
     write_jsonl(src, [
@@ -813,11 +843,12 @@ def run_python(code, *args):
                           capture_output=True, text=True, timeout=60, check=True)
 
 
-@pytest.mark.parametrize("module", ["numpy", "scipy", "requests", "urllib3"])
+@pytest.mark.parametrize("module", ["numpy", "scipy", "requests", "urllib3",
+                                    "concurrent.futures", "logging"])
 def test_cli_import_does_not_load(module):
     # Every subcommand pays the CLI's import time: scipy alone cost about 1 s, numpy
     # was half of the rest and only interp, model and compare compute with it, and
-    # only live backends need the HTTP stack.
+    # only live backends need the HTTP stack and a thread pool (which loads logging).
     result = run_python(f"import discotrace.cli, sys; print({module!r} in sys.modules)")
     assert result.stdout.strip() == "False"
 
@@ -981,6 +1012,35 @@ def test_mimic_runs_max_in_flight_records_at_once(tmp_path):
     assert stats.max_in_flight == 2
     docs = [json.loads(line) for line in out.read_text().splitlines()]
     assert [d["question_id"] for d in docs] == [f"q{i}" for i in range(6)]
+    assert [d["answer_text"] for d in docs] == [f"Answer to {t}" for t in titles]
+
+
+def test_a_request_that_backs_off_holds_no_slot(tmp_path, monkeypatch):
+    # One slot: while the record whose first POST got a 503 backs off, another record's
+    # POST takes the slot. The backoff waits for that POST, not for a length of time.
+    titles = [f"Why does thing {i} happen?" for i in range(3)]
+    arrivals, other_arrived = [], threading.Event()
+
+    def respond(body):
+        title = next(t for t in titles if t in body["messages"][1]["content"])
+        arrivals.append(title)
+        if len(arrivals) == 1:
+            return 503, {}
+        if title != arrivals[0]:
+            other_arrived.set()
+        return 200, {"choices": [{"message": {"content": f"Answer to {title}"}}]}
+
+    monkeypatch.setattr("discotrace.gateway.time.sleep", lambda s: other_arrived.wait(5))
+    with http_stub(respond) as (endpoint, stats):
+        run = mimic_inputs(tmp_path, titles, {"kind": "live", "endpoint": endpoint,
+                                              "retry_limit": 1, "max_in_flight": 1})
+        out = tmp_path / "answers.jsonl"
+        result = run(out)
+    assert result.exit_code == 0, result.output
+    assert stats.posts == len(titles) + 1
+    assert stats.max_in_flight == 1
+    assert arrivals.index(arrivals[0], 1) > 1  # another record's POST came before the retry
+    docs = [json.loads(line) for line in out.read_text().splitlines()]
     assert [d["answer_text"] for d in docs] == [f"Answer to {t}" for t in titles]
 
 

@@ -2,8 +2,10 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -14,6 +16,8 @@ from discotrace import BackendSpec, ChatRequest, complete, embed, gateway, reque
 from discotrace.errors import AuthError, EmbeddingDimensionMismatch, FixtureMiss, TransportError
 from discotrace.gateway import append_fixture, load_fixture, text_digest
 from discotrace.prompts import PromptHead
+
+from conftest import http_stub
 
 
 def make_request(user="hello"):
@@ -303,6 +307,42 @@ def test_live_non_json_reply_is_retried(stub_server, monkeypatch):
     with pytest.raises(TransportError, match="not JSON"):
         complete(backend, make_request())
     assert len(_StubHandler.seen) == 5
+
+
+def test_in_flight_bounds_an_endpoint_under_contention(monkeypatch):
+    # Four times as many threads as slots, a short switch interval, and a 503 on the
+    # first try of every third request: no more than the limit is ever on the wire,
+    # and every request gets its own reply.
+    hold = time.sleep
+    monkeypatch.setattr("discotrace.gateway.time.sleep", lambda s: None)
+    seen, lock = set(), threading.Lock()
+
+    def respond(body):
+        user = body["messages"][1]["content"]
+        with lock:
+            first = user not in seen
+            seen.add(user)
+        hold(0.005)
+        if first and int(user.split()[-1]) % 3 == 0:
+            return 503, {}
+        return 200, _chat_payload(user)
+
+    asked = [make_request(f"request {i}") for i in range(30)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with http_stub(respond) as (endpoint, stats):
+            backend = BackendSpec(kind="live", endpoint=endpoint, max_in_flight=3,
+                                  retry_limit=1)
+            with gateway.in_flight([backend, dataclasses.replace(backend, max_in_flight=5)]) \
+                    as slots, ThreadPoolExecutor(12) as pool:
+                replies = list(pool.map(lambda r: complete(backend, r), asked, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert slots == 3
+    assert replies == [r.user for r in asked]
+    assert stats.posts == 40
+    assert stats.max_in_flight == 3
 
 
 def test_live_auth_error(stub_server):
