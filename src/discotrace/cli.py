@@ -71,9 +71,9 @@ def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> list:
     ``out_path`` is truncated before any record runs, so an unwritable one costs no work.
 
     An input error names its record, as ``noun`` and the record's ``id_key``, or its
-    1-based position when that is not a string; a backend error passes unchanged. When
-    the batch made live calls and none returned a reply, it raises ``TransportError``
-    once the results are written: a total outage is a failure, not a degraded run."""
+    1-based position when that is not a string; a backend error, including the outage
+    that ``in_flight`` raises when the batch's live calls all failed, passes unchanged
+    once the results are written."""
     records = corpus_io.read_corpus(in_path)
     open(out_path, "w").close()
     positions = range(1, len(records) + 1)
@@ -89,7 +89,6 @@ def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> list:
             message = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"{noun} {name}: {message}") from exc
 
-    before = gateway.live_tally()
     out_records = []
     try:
         with gateway.in_flight(backends) as slots:
@@ -102,9 +101,6 @@ def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> list:
                     out_records.extend(pool.map(run_named, records, positions))
     finally:
         corpus_io.write_corpus(out_path, out_records)
-    replies, failures = (now - then for now, then in zip(gateway.live_tally(), before))
-    if failures and not replies:
-        raise TransportError(f"every backend call failed ({failures} of {failures})")
     return out_records
 
 
@@ -275,11 +271,12 @@ def _vocabulary(ontology, family_level: bool) -> list:
 def _smoothing_from_flag(flag, config):
     if flag is None:
         return config.smoothing
-    if flag == "mle":
-        return Smoothing(mode="mle")
-    if flag.startswith("add_lambda"):
-        lam = float(flag.split(":", 1)[1]) if ":" in flag else 1.0
-        return Smoothing(mode="add_lambda", lam=lam)
+    mode, colon, lam = flag.partition(":")
+    if flag == "mle" or mode == "add_lambda":
+        try:
+            return Smoothing(mode=mode, lam=float(lam) if colon else 1.0)
+        except ValueError as exc:
+            raise ValueError(f"smoothing {flag!r}: {exc}") from exc
     raise ValueError(f"unknown smoothing {flag!r} (use 'mle' or 'add_lambda[:LAM]')")
 
 
@@ -326,6 +323,8 @@ def compare_cmd(corpora, out_path, json_out, long_csv_out, config_path,
     for item in corpora:
         name, _, path = item.rpartition("=")
         name = name or Path(path).stem
+        if name in named:
+            raise ValueError(f"corpus name {name!r} is given twice")
         traces = corpus_io.read_corpus(path, view=view)
         named[name] = project_families(traces, ontology) if family_level else traces
     matrix = cross_perplexity_matrix(named, smoothing,

@@ -5,7 +5,8 @@ Live backends speak an OpenAI-style wire format with a configurable auth
 header and response content path, retry transient failures with exponential
 backoff, and re-ask a reply that fails to parse. Inside :func:`in_flight`, a
 live request holds one of its endpoint's slots only while it is on the wire,
-never while it backs off or is asked again. :func:`ask` judges every
+never while it backs off or is asked again, and a block whose live requests all
+failed raises ``TransportError`` as it exits. :func:`ask` judges every
 chat reply the pipeline reads: tags, interpretations and pairings. Mock
 backends replay recorded fixtures: JSONL lines of
 ``{"request_digest": ..., "response_text": ...}`` keyed by a SHA-256
@@ -55,6 +56,8 @@ class BackendSpec:
     def __post_init__(self):
         if self.kind not in ("live", "mock"):
             raise ValueError(f"kind must be 'live' or 'mock', got {self.kind!r}")
+        if self.kind == "live" and not self.endpoint:
+            raise ValueError("a live backend needs an endpoint")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if self.retry_limit < 0:
@@ -180,53 +183,44 @@ def _extract(payload, path):
     return value
 
 
-_live_tally = {"replies": 0, "failures": 0}
-_live_tally_lock = threading.Lock()
-
-
-def live_tally() -> tuple[int, int]:
-    """(replies, failures) of the live POSTs made in this process so far, where a
-    failure is one that ended in ``TransportError``. Mock backends are not counted."""
-    with _live_tally_lock:
-        return _live_tally["replies"], _live_tally["failures"]
-
-
-def _count_live(outcome: str) -> None:
-    with _live_tally_lock:
-        _live_tally[outcome] += 1
-
-
 _slots: dict[str, threading.BoundedSemaphore] = {}
+_outcomes: Optional[list[bool]] = None  # per block: whether each live POST got a reply
 
 
 @contextlib.contextmanager
 def in_flight(backends):
     """Limit the live POSTs made inside the block, per endpoint, to the smallest
-    ``max_in_flight`` among the live ``backends`` that name it. Yields the number
-    of slots over all endpoints: 0 when none is live. Endpoints not named there, or
-    calls made outside any block, are not limited. The slots are process-wide, like
-    :func:`live_tally`'s counts: an inner block replaces them until it exits."""
-    global _slots
+    ``max_in_flight`` among the live ``backends`` that name it; yield the number of
+    slots over all endpoints, 0 when none is live. Other endpoints are not limited.
+    If the block made live POSTs and each ended in ``TransportError``, a normal exit
+    raises ``TransportError``: a total outage is a failure, not a degraded run. The
+    slots and the outcomes are process-wide, and an inner block replaces them until
+    it exits. A call outside any block is neither limited nor counted."""
+    global _slots, _outcomes
     limits: dict[str, int] = {}
     for backend in backends:
         if backend.kind == "live":
             limits[backend.endpoint] = min(backend.max_in_flight,
                                            limits.get(backend.endpoint, backend.max_in_flight))
-    outer = _slots
+    outer = _slots, _outcomes
     _slots = {endpoint: threading.BoundedSemaphore(n) for endpoint, n in limits.items()}
+    _outcomes = outcomes = []
     try:
         yield sum(limits.values())
     finally:
-        _slots = outer
+        _slots, _outcomes = outer
+    if outcomes and not any(outcomes):
+        raise TransportError(f"every backend call failed ({len(outcomes)} of {len(outcomes)})")
 
 
 def _post_with_retries(backend: BackendSpec, body: dict):
     """POST with exponential backoff on transport failures, 5xx and non-JSON bodies.
     Each attempt holds an endpoint slot (:func:`in_flight`) only while it is on the
-    wire. The outcome counts in :func:`live_tally`."""
+    wire. Inside a block, whether it got a reply counts toward the block's outage verdict."""
     import requests  # only live backends pay for the HTTP stack
 
     slot = _slots.get(backend.endpoint) or contextlib.nullcontext()
+    outcomes = [] if _outcomes is None else _outcomes  # outside a block, a throwaway list
     last_error = None
     for attempt in range(backend.retry_limit + 1):
         if attempt:
@@ -248,16 +242,16 @@ def _post_with_retries(backend: BackendSpec, body: dict):
             last_error = TransportError(f"backend returned {response.status_code}")
             continue
         if response.status_code >= 400:
-            _count_live("failures")
+            outcomes.append(False)
             raise TransportError(f"backend returned {response.status_code}: {response.text}")
         try:
             payload = response.json()
         except ValueError as exc:  # a 2xx body that is not JSON is retried like a 5xx
             last_error = TransportError(f"backend returned a body that is not JSON: {exc}")
             continue
-        _count_live("replies")
+        outcomes.append(True)
         return payload
-    _count_live("failures")
+    outcomes.append(False)
     raise TransportError(f"exhausted {backend.retry_limit} retries: {last_error}")
 
 

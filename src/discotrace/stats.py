@@ -42,8 +42,8 @@ class Smoothing:
     def __post_init__(self):
         if self.mode not in ("mle", "add_lambda"):
             raise ValueError(f"unknown smoothing mode {self.mode!r}")
-        if self.mode == "add_lambda" and self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, not {self.lam!r}")
 
 
 def _as_sequences(traces) -> list[list[str]]:

@@ -592,6 +592,45 @@ def test_model_command_mle_and_unknown_smoothing(tmp_path):
     assert result.stderr.startswith("error: unknown smoothing 'laplace'")
 
 
+@pytest.mark.parametrize("flag, error", [
+    ("add_lambdaTYPO", "unknown smoothing 'add_lambdaTYPO'"),
+    ("add_lambda:nan", "smoothing 'add_lambda:nan': lambda must be positive and finite"),
+    ("add_lambda:inf", "smoothing 'add_lambda:inf': lambda must be positive and finite"),
+    ("add_lambda:0", "smoothing 'add_lambda:0': lambda must be positive and finite"),
+    ("add_lambda:", "smoothing 'add_lambda:': could not convert"),
+])
+def test_a_smoothing_flag_is_a_known_mode_and_a_positive_finite_lambda(tmp_path, flag, error):
+    src = tmp_path / "traces.jsonl"
+    write_jsonl(src, [trace_record("a1", "q1", ["action_AQ_assert_answer"])])
+    out = tmp_path / "model.json"
+    result = invoke("model", "--in", str(src), "--out", str(out), "--smoothing", flag)
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith(f"error: {error}"), result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("first, second, name", [
+    ("a/x.jsonl", "b/x.jsonl", "x"),
+    ("h=a/x.jsonl", "h=b/y.jsonl", "h"),
+    ("a/x.jsonl", "x=b/y.jsonl", "x"),
+])
+def test_compare_rejects_a_corpus_name_given_twice(tmp_path, first, second, name):
+    for path in ("a/x.jsonl", "b/x.jsonl", "b/y.jsonl"):
+        (tmp_path / path).parent.mkdir(exist_ok=True)
+        write_jsonl(tmp_path / path, [trace_record("a1", "q1", ["action_AQ_assert_answer"])])
+
+    def corpus(item):
+        label, equals, path = item.rpartition("=")
+        return f"{label}{equals}{tmp_path / path}"
+
+    out = tmp_path / "m.csv"
+    result = invoke("compare", "--corpora", corpus(first), "--corpora", corpus(second),
+                    "--out", str(out))
+    assert result.exit_code == 1, result.output
+    assert result.stderr == f"error: corpus name {name!r} is given twice\n"
+    assert not out.exists()
+
+
 def test_compare_long_csv_has_one_row_per_cell(tmp_path):
     acts = ["action_AQ_assert_answer", "action_AQ_provide_reasoning", "action_SI_clarification"]
     corpora = []
@@ -1099,6 +1138,10 @@ BAD_CONFIGS = [
     ({"act_labeler": {"kind": "mock", "fixture_path": "missing.jsonl"}},
      "act_labeler: a mock's fixture_path must name a file"),
     ("{not json", "Expecting property name"),
+    ({"act_labeler": {"kind": "live", "retry_limit": 0}},
+     "act_labeler: a live backend needs an endpoint\n"),
+    ({"smoothing": {"lambda": float("nan")}}, "smoothing: lambda must be positive and finite"),
+    ({"smoothing": {"lambda": float("inf")}}, "smoothing: lambda must be positive and finite"),
 ]
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -233,6 +234,12 @@ def test_backend_spec_validation():
         BackendSpec(retry_limit=-1)
 
 
+def test_a_live_backend_needs_an_endpoint():
+    with pytest.raises(ValueError, match="^a live backend needs an endpoint$"):
+        BackendSpec(kind="live")
+    assert BackendSpec(kind="mock").endpoint == ""
+
+
 class _StubHandler(BaseHTTPRequestHandler):
     responses = []  # list of (status, payload) consumed per request; bytes go out raw
     seen = []
@@ -343,6 +350,94 @@ def test_in_flight_bounds_an_endpoint_under_contention(monkeypatch):
     assert replies == [r.user for r in asked]
     assert stats.posts == 40
     assert stats.max_in_flight == 3
+
+
+def _fail_unless_ok(body):
+    """A reply to a request whose user text is "ok", a 503 to any other."""
+    if body["messages"][1]["content"] == "ok":
+        return 200, _chat_payload("ok")
+    return 503, {}
+
+
+@contextlib.contextmanager
+def _live_backend():
+    with http_stub(_fail_unless_ok) as (endpoint, stats):
+        yield BackendSpec(kind="live", endpoint=endpoint, retry_limit=0), stats
+
+
+def _ask(backend, user):
+    """complete() one request, swallowing its TransportError as a batch's record would."""
+    try:
+        return complete(backend, make_request(user))
+    except TransportError:
+        return None
+
+
+def test_a_block_whose_live_calls_all_failed_raises():
+    # More workers than slots and a short switch interval: a lost outcome would
+    # change the count.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with _live_backend() as (backend, stats):
+            with pytest.raises(TransportError, match=r"^every backend call failed \(24 of 24\)$"):
+                with gateway.in_flight([backend]), ThreadPoolExecutor(8) as pool:
+                    replies = list(pool.map(_ask, [backend] * 24, ["fail"] * 24, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert replies == [None] * 24
+    assert stats.posts == 24
+
+
+def test_one_reply_among_failures_is_a_degraded_block_not_an_outage():
+    with _live_backend() as (backend, stats):
+        with gateway.in_flight([backend]):
+            replies = [_ask(backend, user) for user in ("fail", "ok", "fail")]
+        assert replies == [None, "ok", None]
+        with pytest.raises(TransportError, match=r"\(2 of 2\)"):  # the same, less its reply
+            with gateway.in_flight([backend]):
+                _ask(backend, "fail")
+                _ask(backend, "fail")
+    assert stats.posts == 5
+
+
+def test_a_block_without_live_calls_does_not_raise(tmp_path):
+    fixture = tmp_path / "f.jsonl"
+    append_fixture(fixture, request_digest(make_request()), "mocked")
+    mock = BackendSpec(kind="mock", fixture_path=str(fixture))
+    with _live_backend() as (backend, stats):
+        with pytest.raises(TransportError, match=r"\(2 of 2\)"):
+            with gateway.in_flight([backend]):
+                _ask(backend, "fail")
+                # An inner block judges only its own calls, and it made no live one;
+                # once it exits, the outer block counts again.
+                with gateway.in_flight([backend, mock]) as slots:
+                    assert complete(mock, make_request()) == "mocked"
+                _ask(backend, "fail")
+    assert slots == 4
+    assert stats.posts == 2
+
+
+def test_an_error_inside_the_block_propagates_and_leaves_no_count_behind():
+    with _live_backend() as (backend, _):
+        with pytest.raises(KeyError, match="mine"):
+            with gateway.in_flight([backend]):
+                _ask(backend, "fail")
+                raise KeyError("mine")
+        # The next block judges only its own call: 1 of 1, not 2 of 2.
+        with pytest.raises(TransportError, match=r"\(1 of 1\)"):
+            with gateway.in_flight([backend]):
+                _ask(backend, "fail")
+
+
+def test_a_live_call_before_the_block_does_not_count():
+    with _live_backend() as (backend, stats):
+        assert _ask(backend, "ok") == "ok"
+        assert _ask(backend, "fail") is None
+        with pytest.raises(TransportError, match=r"\(1 of 1\)"):
+            with gateway.in_flight([backend]):
+                _ask(backend, "fail")
+    assert stats.posts == 3
 
 
 def test_live_auth_error(stub_server):

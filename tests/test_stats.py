@@ -73,6 +73,13 @@ def test_mle_out_of_vocab_raises():
         perplexity(model, [["A", "C"]])
 
 
+@pytest.mark.parametrize("mode", ["add_lambda", "mle"])
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+def test_smoothing_lambda_is_positive_and_finite(mode, lam):
+    with pytest.raises(ValueError, match="lambda must be positive and finite"):
+        Smoothing(mode=mode, lam=lam)
+
+
 def test_add_lambda_hand_computed():
     model = fit_bigram([["A", "B"]], smoothing=Smoothing(mode="add_lambda", lam=1.0))
     # Vocab {A, B}; legal next set size is 3 (A, B, END).
