@@ -305,7 +305,8 @@ def model_cmd(in_path, out_path, config_path, smoothing_flag, family_level):
 
 @main.command("compare")
 @click.option("--corpora", multiple=True, required=True,
-              help="NAME=path pairs (or bare paths, named by stem).")
+              help="NAME=path pairs, split at the first '=' (or bare paths, named by "
+                   "stem; an existing path is never split).")
 @click.option("--out", "out_path", required=True, help="Output CSV path.")
 @click.option("--json-out", default=None)
 @click.option("--long-csv-out", default=None)
@@ -321,7 +322,9 @@ def compare_cmd(corpora, out_path, json_out, long_csv_out, config_path,
     view = _act_id_view(ontology)
     named = {}
     for item in corpora:
-        name, _, path = item.rpartition("=")
+        name, equals, path = item.partition("=")  # a path may hold "=" too
+        if not equals or Path(item).exists():
+            name, path = "", item
         name = name or Path(path).stem
         if name in named:
             raise ValueError(f"corpus name {name!r} is given twice")

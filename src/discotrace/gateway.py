@@ -2,8 +2,10 @@
 
 This is the only module that performs network I/O or asks a request again.
 Live backends speak an OpenAI-style wire format with a configurable auth
-header and response content path, retry transient failures with exponential
-backoff, and re-ask a reply that fails to parse. Inside :func:`in_flight`, a
+header and response content path over the standard library's
+``urllib.request``, imported on the first live POST, one connection per POST.
+They retry transient failures with exponential backoff, and re-ask a reply
+that fails to parse. Inside :func:`in_flight`, a
 live request holds one of its endpoint's slots only while it is on the wire,
 never while it backs off or is asked again, and a block whose live requests all
 failed raises ``TransportError`` as it exits. :func:`ask` judges every
@@ -25,6 +27,7 @@ import threading
 import time
 from dataclasses import dataclass, fields
 from typing import Optional
+from urllib.parse import urlsplit
 
 from .errors import (
     AuthError, EmbeddingDimensionMismatch, FixtureMiss, TransportError, UnparsableResponse,
@@ -58,6 +61,10 @@ class BackendSpec:
             raise ValueError(f"kind must be 'live' or 'mock', got {self.kind!r}")
         if self.kind == "live" and not self.endpoint:
             raise ValueError("a live backend needs an endpoint")
+        url = urlsplit(self.endpoint)
+        if self.kind == "live" and (url.scheme not in ("http", "https") or not url.hostname):
+            raise ValueError(f"a live endpoint must be an http:// or https:// URL with a "
+                             f"host, not {self.endpoint!r}")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if self.retry_limit < 0:
@@ -217,8 +224,12 @@ def _post_with_retries(backend: BackendSpec, body: dict):
     """POST with exponential backoff on transport failures, 5xx and non-JSON bodies.
     Each attempt holds an endpoint slot (:func:`in_flight`) only while it is on the
     wire. Inside a block, whether it got a reply counts toward the block's outage verdict."""
-    import requests  # only live backends pay for the HTTP stack
+    from http.client import HTTPException  # only live backends pay for the HTTP stack
+    from urllib.error import HTTPError
+    from urllib.request import Request, urlopen
 
+    request = Request(backend.endpoint, data=json.dumps(body, allow_nan=False).encode(),
+                      headers={"Content-Type": "application/json", **_auth_headers(backend)})
     slot = _slots.get(backend.endpoint) or contextlib.nullcontext()
     outcomes = [] if _outcomes is None else _outcomes  # outside a block, a throwaway list
     last_error = None
@@ -227,25 +238,26 @@ def _post_with_retries(backend: BackendSpec, body: dict):
             time.sleep(min(0.5 * 2 ** (attempt - 1), 8.0))
         try:
             with slot:
-                response = requests.post(
-                    backend.endpoint,
-                    json=body,
-                    headers=_auth_headers(backend),
-                    timeout=60,
-                )
-        except requests.RequestException as exc:
+                try:
+                    with urlopen(request, timeout=60) as response:
+                        status, data = response.status, response.read()
+                except HTTPError as exc:  # a status, not a failure; closing frees the socket
+                    with exc:
+                        status, data = exc.code, exc.read()
+        except (OSError, HTTPException) as exc:  # refused, reset, timed out, cut short
             last_error = exc
             continue
-        if response.status_code in (401, 403):
-            raise AuthError(f"backend returned {response.status_code}")
-        if response.status_code >= 500:
-            last_error = TransportError(f"backend returned {response.status_code}")
+        if status in (401, 403):
+            raise AuthError(f"backend returned {status}")
+        if status >= 500:
+            last_error = TransportError(f"backend returned {status}")
             continue
-        if response.status_code >= 400:
+        if not 200 <= status < 300:
             outcomes.append(False)
-            raise TransportError(f"backend returned {response.status_code}: {response.text}")
+            raise TransportError(f"backend returned {status}: "
+                                 f"{data.decode('utf-8', 'replace')}")
         try:
-            payload = response.json()
+            payload = json.loads(data)
         except ValueError as exc:  # a 2xx body that is not JSON is retried like a 5xx
             last_error = TransportError(f"backend returned a body that is not JSON: {exc}")
             continue

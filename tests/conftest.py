@@ -3,6 +3,7 @@
 import contextlib
 import json
 import random
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -102,6 +103,13 @@ def write_jsonl(path, records):
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def closed_port():
+    """A loopback port that refuses connections: bound, then closed at once."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
 
 @contextlib.contextmanager

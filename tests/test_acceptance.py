@@ -7,6 +7,7 @@ tolerance; `pytest -v` reports one pass/fail line per criterion.
 import json
 import math
 import random
+import socket
 import time
 
 import numpy as np
@@ -419,11 +420,9 @@ def test_criterion_09_end_to_end_replay(tmp_path, monkeypatch):
     def no_network(*args, **kwargs):
         raise AssertionError("network call attempted during mock replay")
 
-    import requests
-
-    monkeypatch.setattr(requests, "post", no_network)
-    monkeypatch.setattr(requests, "request", no_network)
-    monkeypatch.setattr(requests.Session, "request", no_network)
+    # Below every HTTP client: any connection attempt fails the test.
+    monkeypatch.setattr(socket.socket, "connect", no_network)
+    monkeypatch.setattr(socket, "create_connection", no_network)
 
     start = time.perf_counter()
     first = run_trace_cli(tmp_path, "traces1.jsonl")

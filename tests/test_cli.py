@@ -35,7 +35,9 @@ from discotrace.stats import (
     project_families,
 )
 
-from conftest import deep_tree_json, http_stub, record_fixture_by_replay, write_jsonl
+from conftest import (
+    closed_port, deep_tree_json, http_stub, record_fixture_by_replay, write_jsonl,
+)
 
 
 def invoke(*args):
@@ -467,6 +469,23 @@ def test_trace_exits_2_only_when_every_live_call_failed(tmp_path, failing, exit_
         assert result.stderr == "error: every backend call failed (3 of 3)\n"
 
 
+def test_a_batch_whose_every_connection_is_refused_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setattr("discotrace.gateway.time.sleep", lambda s: None)
+    questions, answers, spaces, _, config_path, _ = make_trace_inputs(tmp_path)
+    first = read_corpus(answers)[0]
+    write_jsonl(answers, [{**first, "answer_id": f"a{i}"} for i in range(3)])
+    live = {"kind": "live", "endpoint": f"http://127.0.0.1:{closed_port()}/v1",
+            "retry_limit": 1}
+    config_path.write_text(json.dumps({"act_labeler": {**live, "name": "act"},
+                                       "interp_labeler": {**live, "name": "interp"}}))
+    out = tmp_path / "traces.jsonl"
+    result = invoke("trace", "--in", str(answers), "--questions", str(questions),
+                    "--spaces", str(spaces), "--out", str(out), "--config", str(config_path))
+    assert result.exit_code == 2, result.output
+    assert result.stderr == "error: every backend call failed (3 of 3)\n"
+    assert [r["answer_id"] for r in read_corpus(out)] == ["a0", "a1", "a2"]
+
+
 def test_filter_counts_a_null_title_as_empty(tmp_path):
     raw, out, tally_out = tmp_path / "raw.jsonl", tmp_path / "kept.jsonl", tmp_path / "t.json"
     write_jsonl(raw, [{"post_id": "p1", "title": None, "score": 10,
@@ -629,6 +648,18 @@ def test_compare_rejects_a_corpus_name_given_twice(tmp_path, first, second, name
     assert result.exit_code == 1, result.output
     assert result.stderr == f"error: corpus name {name!r} is given twice\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("prefix, name", [("", "run=1"), ("R=", "R")])
+def test_compare_reads_a_path_that_holds_an_equals_sign(tmp_path, monkeypatch, prefix, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "eq").mkdir()
+    write_jsonl(tmp_path / "eq" / "run=1.jsonl",
+                [trace_record("a1", "q1", ["action_AQ_assert_answer"])])
+    result = invoke("compare", "--corpora", f"{prefix}eq/run=1.jsonl", "--out", "m.csv",
+                    "--json-out", "m.json")
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "m.json").read_text())["row_labels"] == [name]
 
 
 def test_compare_long_csv_has_one_row_per_cell(tmp_path):
@@ -883,13 +914,27 @@ def run_python(code, *args):
 
 
 @pytest.mark.parametrize("module", ["numpy", "scipy", "requests", "urllib3",
-                                    "concurrent.futures", "logging"])
+                                    "concurrent.futures", "logging", "urllib.request",
+                                    "http.client"])
 def test_cli_import_does_not_load(module):
     # Every subcommand pays the CLI's import time: scipy alone cost about 1 s, numpy
     # was half of the rest and only interp, model and compare compute with it, and
     # only live backends need the HTTP stack and a thread pool (which loads logging).
     result = run_python(f"import discotrace.cli, sys; print({module!r} in sys.modules)")
     assert result.stdout.strip() == "False"
+
+
+def test_a_live_call_loads_no_third_party_http_client():
+    reply = {"choices": [{"message": {"content": "ok"}}]}
+    with http_stub(lambda body: (200, reply)) as (endpoint, stats):
+        result = run_python(
+            "import sys\n"
+            "from discotrace import BackendSpec, ChatRequest, complete\n"
+            "backend = BackendSpec(kind='live', endpoint=sys.argv[1], retry_limit=0)\n"
+            "print(complete(backend, ChatRequest(system='s', user='u', model_name='m')))\n"
+            "print([m for m in ('requests', 'urllib3') if m in sys.modules])", endpoint)
+    assert result.stdout.splitlines() == ["ok", "[]"]
+    assert stats.posts == 1
 
 
 @pytest.mark.parametrize("command", ["trace", "segment", "filter", "sample", "metrics"])
@@ -1142,6 +1187,9 @@ BAD_CONFIGS = [
      "act_labeler: a live backend needs an endpoint\n"),
     ({"smoothing": {"lambda": float("nan")}}, "smoothing: lambda must be positive and finite"),
     ({"smoothing": {"lambda": float("inf")}}, "smoothing: lambda must be positive and finite"),
+    ({"act_labeler": {"kind": "live", "endpoint": "localhost:9/v1"}},
+     "act_labeler: a live endpoint must be an http:// or https:// URL with a host, "
+     "not 'localhost:9/v1'\n"),
 ]
 
 

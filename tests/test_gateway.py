@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import socket
 import sys
 import threading
 import time
@@ -18,7 +19,7 @@ from discotrace.errors import AuthError, EmbeddingDimensionMismatch, FixtureMiss
 from discotrace.gateway import append_fixture, load_fixture, text_digest
 from discotrace.prompts import PromptHead
 
-from conftest import http_stub
+from conftest import closed_port, http_stub
 
 
 def make_request(user="hello"):
@@ -240,17 +241,32 @@ def test_a_live_backend_needs_an_endpoint():
     assert BackendSpec(kind="mock").endpoint == ""
 
 
+@pytest.mark.parametrize("endpoint", ["localhost:9/v1", "127.0.0.1:9", "ftp://host/v1",
+                                      "http:///v1", "//host/v1"])
+def test_a_live_endpoint_is_an_http_url_with_a_host(endpoint):
+    with pytest.raises(ValueError, match="^a live endpoint must be an http:// or https:// "
+                                         "URL with a host, not "):
+        BackendSpec(kind="live", endpoint=endpoint)
+    for good in ("http://127.0.0.1:9/v1", "https://api.example.com/v1/chat/completions"):
+        assert BackendSpec(kind="live", endpoint=good).endpoint == good
+
+
 class _StubHandler(BaseHTTPRequestHandler):
-    responses = []  # list of (status, payload) consumed per request; bytes go out raw
-    seen = []
+    # (status, payload[, headers]) consumed per request; bytes go out raw
+    responses = []
+    seen = []  # each request's JSON body
+    headers_seen = []  # each request's headers, looked up without regard to case
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
+        _StubHandler.headers_seen.append(self.headers)
         _StubHandler.seen.append(json.loads(self.rfile.read(length)))
-        status, payload = _StubHandler.responses.pop(0)
+        status, payload, *headers = _StubHandler.responses.pop(0)
         body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
@@ -266,6 +282,7 @@ def stub_server():
     thread.start()
     _StubHandler.responses = []
     _StubHandler.seen = []
+    _StubHandler.headers_seen = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     server.server_close()
@@ -314,6 +331,59 @@ def test_live_non_json_reply_is_retried(stub_server, monkeypatch):
     with pytest.raises(TransportError, match="not JSON"):
         complete(backend, make_request())
     assert len(_StubHandler.seen) == 5
+
+
+def test_a_4xx_is_one_post_that_fails_with_its_body(stub_server, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("discotrace.gateway.time.sleep", sleeps.append)
+    _StubHandler.responses = [(404, b"no such model: \xff")]
+    backend = BackendSpec(kind="live", endpoint=stub_server, retry_limit=2)
+    with pytest.raises(TransportError, match=r"^every backend call failed \(1 of 1\)$"):
+        with gateway.in_flight([backend]):
+            with pytest.raises(TransportError,
+                               match="^backend returned 404: no such model: \ufffd$"):
+                complete(backend, make_request())
+    assert len(_StubHandler.seen) == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("status", [307, 308])
+def test_a_redirected_post_is_not_followed(stub_server, status):
+    _StubHandler.responses = [(status, b"moved", {"Location": f"{stub_server}/elsewhere"}),
+                              (200, _chat_payload("ok"))]
+    backend = BackendSpec(kind="live", endpoint=stub_server, retry_limit=2)
+    with pytest.raises(TransportError, match=f"^backend returned {status}: moved$"):
+        complete(backend, make_request())
+    assert len(_StubHandler.seen) == 1
+
+
+def test_a_refused_connection_is_retried_then_a_transport_error(monkeypatch):
+    sleeps, attempts = [], []
+    monkeypatch.setattr("discotrace.gateway.time.sleep", sleeps.append)
+    connect = socket.socket.connect
+
+    def counted(sock, address):
+        attempts.append(address)
+        return connect(sock, address)
+
+    monkeypatch.setattr(socket.socket, "connect", counted)
+    port = closed_port()
+    backend = BackendSpec(kind="live", endpoint=f"http://127.0.0.1:{port}/v1", retry_limit=2)
+    with pytest.raises(TransportError, match=r"^every backend call failed \(1 of 1\)$"):
+        with gateway.in_flight([backend]):
+            with pytest.raises(TransportError, match="^exhausted 2 retries: .*refused"):
+                complete(backend, make_request())
+    assert attempts == [("127.0.0.1", port)] * 3
+    assert len(sleeps) == 2
+
+
+def test_a_utf8_reply_parses_to_the_same_text(stub_server):
+    text = "Ça coûte 5 € — 日本語 🙂"
+    reply = json.dumps(_chat_payload(text), ensure_ascii=False).encode("utf-8")
+    _StubHandler.responses = [(200, reply)]
+    backend = BackendSpec(kind="live", endpoint=stub_server, retry_limit=0)
+    assert complete(backend, make_request(text)) == text
+    assert _StubHandler.seen[0]["messages"][1]["content"] == text
 
 
 def test_in_flight_bounds_an_endpoint_under_contention(monkeypatch):
@@ -451,21 +521,10 @@ def test_live_auth_header(stub_server, monkeypatch):
     monkeypatch.setenv("TEST_TOKEN", "sekret")
     _StubHandler.responses = [(200, _chat_payload("ok"))]
     backend = BackendSpec(kind="live", endpoint=stub_server, auth_env="TEST_TOKEN")
-
-    # The header is applied client-side; verify through requests' view.
-    import requests
-
-    captured = {}
-    original = requests.post
-
-    def spy(url, **kwargs):
-        captured.update(kwargs.get("headers") or {})
-        return original(url, **kwargs)
-
-    # The gateway imports requests on its first POST and looks up requests.post then.
-    monkeypatch.setattr(requests, "post", spy)
     complete(backend, make_request())
-    assert captured["Authorization"] == "Bearer sekret"
+    heard = _StubHandler.headers_seen[0]
+    assert heard["authorization"] == "Bearer sekret"
+    assert heard["content-type"] == "application/json"
 
 
 def test_live_missing_auth_env(stub_server):
