@@ -10,7 +10,9 @@ requests on the wire to each endpoint (the smallest value among the backends tha
 name it). A request that is backing off holds no slot, and twice as many records
 run at once as there are slots, so one record's backoff leaves no slot idle.
 With none live they run one record at a time in the calling thread, as
-``segment`` does. After a failure, ``--out`` keeps the records finished before it.
+``segment`` does. Each record is written to ``--out``, and flushed, as soon as it
+and every record before it are done, so a run that fails or is killed leaves the
+records finished before that point. Ctrl-C exits 130.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ _INPUT_ERRORS = (OSError, KeyError, ValueError)
 
 
 class _ExitCodes(click.Group):
-    """Maps every subcommand's errors to exit codes: 2 backend failure, 1 input error."""
+    """Maps every subcommand's errors to exit codes: 2 backend failure, 1 input error,
+    130 Ctrl-C (click's own handling would exit 1)."""
 
     def invoke(self, ctx):
         try:
@@ -53,6 +56,9 @@ class _ExitCodes(click.Group):
         except (DiscoTraceError, *_INPUT_ERRORS) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2 if isinstance(exc, _BACKEND_ERRORS) else 1)
+        except KeyboardInterrupt:
+            click.echo("interrupted", err=True)
+            sys.exit(130)
 
 
 def _load_config(path) -> PipelineConfig:
@@ -62,20 +68,21 @@ def _load_config(path) -> PipelineConfig:
 
 
 def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> list:
-    """Map ``run_one`` over ``in_path``'s records and write the results to ``out_path``
-    in input order; on a failure, those before the failing record. Live ``backends``
-    open :func:`gateway.in_flight`: at most ``max_in_flight`` requests on the wire per
-    endpoint, and a request that is backing off holds no slot, so the batch runs on
-    twice as many workers as slots and one record's backoff leaves no slot idle.
+    """Map ``run_one`` over ``in_path``'s records and return the results, writing each
+    to ``out_path``, and flushing it, as soon as it and every record before it are done.
+    So a failure, a kill or Ctrl-C leaves ``out_path`` the in-order prefix finished by then.
+    Live ``backends`` open :func:`gateway.in_flight`: at most ``max_in_flight`` requests on
+    the wire per endpoint, and a request that is backing off holds no slot, so the batch
+    runs on twice as many workers as slots and one record's backoff leaves no slot idle.
     With none live it runs in the calling thread: a mock does no I/O to overlap.
-    ``out_path`` is truncated before any record runs, so an unwritable one costs no work.
+    ``out_path`` is opened after the input is read and before any record runs, so an
+    input error leaves it untouched and an unwritable one costs no work.
 
     An input error names its record, as ``noun`` and the record's ``id_key``, or its
     1-based position when that is not a string; a backend error, including the outage
     that ``in_flight`` raises when the batch's live calls all failed, passes unchanged
     once the results are written."""
     records = corpus_io.read_corpus(in_path)
-    open(out_path, "w").close()
     positions = range(1, len(records) + 1)
 
     def run_named(record, position):
@@ -89,18 +96,22 @@ def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> list:
             message = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"{noun} {name}: {message}") from exc
 
-    out_records = []
-    try:
-        with gateway.in_flight(backends) as slots:
-            if not slots:
-                out_records.extend(map(run_named, records, positions))
-            else:
-                from concurrent.futures import ThreadPoolExecutor  # only live I/O overlaps
+    def results(slots):
+        """Each record's result, in input order."""
+        if not slots:
+            yield from map(run_named, records, positions)
+            return
+        from concurrent.futures import ThreadPoolExecutor  # only live I/O overlaps
 
-                with ThreadPoolExecutor(2 * slots) as pool:
-                    out_records.extend(pool.map(run_named, records, positions))
-    finally:
-        corpus_io.write_corpus(out_path, out_records)
+        with ThreadPoolExecutor(2 * slots) as pool:
+            yield from pool.map(run_named, records, positions)
+
+    out_records = []
+    with open(out_path, "w", encoding="utf-8") as out, gateway.in_flight(backends) as slots:
+        for result in results(slots):
+            corpus_io.write_record(out, result)
+            out.flush()
+            out_records.append(result)
     return out_records
 
 

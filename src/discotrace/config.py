@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
+from .corpus import of_type, read_fields
 from .gateway import BackendSpec
 from .interpretations import DEFAULT_DEDUP_THRESHOLD
 from .segmentation import BoundaryConfig
@@ -27,12 +29,10 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: Optional[Path] = None) -> "PipelineConfig":
-        """A config from its JSON object; a value of the wrong shape raises ``ValueError``
-        naming its key."""
+        """A config from its JSON object; a value of the wrong shape raises ``TypeError`` or
+        ``ValueError`` naming its key. Unknown top-level keys are ignored."""
         def spec_of(spec):
-            if not isinstance(spec, dict):
-                raise TypeError(f"a backend cannot be {type(spec).__name__}")
-            spec = dict(spec)
+            spec = dict(of_type("a backend", spec, dict))
             if isinstance(spec.get("fixture_path"), str) and base_dir is not None:
                 spec["fixture_path"] = str((base_dir / spec["fixture_path"]).resolve())
             backend = BackendSpec.from_dict(spec)
@@ -42,12 +42,12 @@ class PipelineConfig:
             return backend
 
         def entry(key, kind, build, default=None):
-            """``build(doc[key])`` for a ``kind`` value, ``default`` when it is absent or null."""
+            """``build(doc[key])`` for a value :func:`of_type` ``kind``, ``default`` when it is
+            absent or null."""
             value = doc.get(key)
             if value is None:
                 return default
-            if not isinstance(value, kind):
-                raise ValueError(f"{key} cannot be {type(value).__name__}")
+            value = of_type(key, value, kind)
             try:
                 return build(value)
             except (TypeError, ValueError) as exc:
@@ -56,11 +56,11 @@ class PipelineConfig:
         def ontology_at(path):
             if base_dir is not None:
                 path = str((base_dir / path).resolve())
-            if not Path(path).exists():
-                raise ValueError(f"{path!r} does not exist")
+            if not Path(path).is_file():
+                raise ValueError(f"{path!r} is not a file")
             return path
 
-        threshold = entry("dedup_threshold", (int, float), float, DEFAULT_DEDUP_THRESHOLD)
+        threshold = entry("dedup_threshold", float, float, DEFAULT_DEDUP_THRESHOLD)
         if not 0 < threshold <= 1:
             raise ValueError("dedup_threshold must be in (0, 1]")
         return cls(
@@ -71,10 +71,11 @@ class PipelineConfig:
             embedder=entry("embedder", dict, spec_of),
             answer_generator=entry("answer_generator", dict, spec_of),
             ontology_path=entry("ontology_path", str, ontology_at),
-            boundary=entry("boundary", dict, BoundaryConfig.from_dict, BoundaryConfig()),
-            smoothing=entry("smoothing", dict, lambda given: Smoothing(
-                mode=given.get("mode", "add_lambda"), lam=float(given.get("lambda", 1.0))),
-                Smoothing()),
+            boundary=entry("boundary", dict, partial(read_fields, BoundaryConfig),
+                           BoundaryConfig()),
+            smoothing=entry("smoothing", dict,
+                            partial(read_fields, Smoothing, keys={"lam": "lambda"}),
+                            Smoothing()),
             dedup_threshold=threshold,
         )
 
@@ -87,5 +88,5 @@ class PipelineConfig:
             if not isinstance(doc, dict):
                 raise ValueError("expected a JSON object")
             return cls.from_dict(doc, base_dir=path.parent)
-        except ValueError as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"config {path}: {exc}") from exc

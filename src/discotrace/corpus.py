@@ -14,7 +14,7 @@ import gc
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -58,6 +58,34 @@ def typed(doc: dict, key: str, kind, *default):
     if not isinstance(value, kind):
         raise TypeError(f"{key} cannot be {type(value).__name__}")
     return value
+
+
+def of_type(key: str, value, kind):
+    """``value`` if its type is exactly ``kind`` (so a bool is no int), or an int where ``kind``
+    is float, as a float; else a TypeError naming ``key``."""
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise TypeError(f"{key} cannot be {type(value).__name__}")
+    return value
+
+
+def read_fields(cls, doc: dict, keys=None):
+    """``cls(**doc)`` for a config entry of ``cls``'s fields, spelt as ``keys`` maps them, each
+    :func:`of_type` its default: text or null for None, a list for a tuple or frozenset."""
+    spelt = {(keys or {}).get(f.name, f.name): f for f in fields(cls)}
+    values = {}
+    for key, value in doc.items():
+        if key not in spelt:
+            raise ValueError(f"unknown key {key!r}")
+        default = spelt[key].default
+        if isinstance(default, (tuple, frozenset)):  # inner lists become tuples
+            value = type(default)(tuple(v) if type(v) is list else v
+                                  for v in of_type(key, value, list))
+        elif value is not None or default is not None:
+            value = of_type(key, value, str if default is None else type(default))
+        values[spelt[key].name] = value
+    return cls(**values)
 
 
 @dataclass
@@ -257,13 +285,18 @@ def read_corpus(path, view=None) -> list:
 
 
 def write_corpus(path, records: list[dict]) -> None:
-    """Write records as JSONL, stamping schema_version when absent. A record
-    UTF-8 cannot encode (JSON input may carry a lone surrogate) is escaped."""
+    """Write records as JSONL lines, each by :func:`write_record`."""
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            if "schema_version" not in record:
-                record = {"schema_version": SCHEMA_VERSION, **record}
-            try:
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-            except UnicodeEncodeError:  # encoding fails before anything is written
-                handle.write(json.dumps(record) + "\n")
+            write_record(handle, record)
+
+
+def write_record(handle, record: dict) -> None:
+    """Write one JSONL line to a UTF-8 text ``handle``, stamping schema_version when absent.
+    A record UTF-8 cannot encode (JSON input may carry a lone surrogate) is escaped."""
+    if "schema_version" not in record:
+        record = {"schema_version": SCHEMA_VERSION, **record}
+    try:
+        handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+    except UnicodeEncodeError:  # encoding fails before anything is written
+        handle.write(json.dumps(record) + "\n")

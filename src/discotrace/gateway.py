@@ -19,16 +19,18 @@ built from a per-answer prompt head hashes only its own tail after the head.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 import json
 import os
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 from urllib.parse import urlsplit
 
+from .corpus import read_fields
 from .errors import (
     AuthError, EmbeddingDimensionMismatch, FixtureMiss, TransportError, UnparsableResponse,
 )
@@ -65,6 +67,11 @@ class BackendSpec:
         if self.kind == "live" and (url.scheme not in ("http", "https") or not url.hostname):
             raise ValueError(f"a live endpoint must be an http:// or https:// URL with a "
                              f"host, not {self.endpoint!r}")
+        try:
+            url.port  # raises on a port that is not a number in 0-65535
+        except ValueError:
+            raise ValueError(f"an endpoint's port must be a number in 0-65535, not "
+                             f"{self.endpoint!r}") from None
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if self.retry_limit < 0:
@@ -72,19 +79,7 @@ class BackendSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BackendSpec":
-        """A spec from its config entry. An unknown key, or a value of another type than
-        its field's default (text where that is None), raises naming the key."""
-        doc = dict(doc)
-        if isinstance(doc.get("content_path"), list):
-            doc["content_path"] = tuple(doc["content_path"])
-        defaults = {f.name: f.default for f in fields(cls)}
-        for key, value in doc.items():
-            if key not in defaults:
-                raise ValueError(f"unknown key {key!r}")
-            kind = str if defaults[key] is None else type(defaults[key])
-            if type(value) is not kind and not (value is None and defaults[key] is None):
-                raise TypeError(f"{key} cannot be {type(value).__name__}")
-        return cls(**doc)
+        return read_fields(cls, doc)
 
 
 def _canonical(request) -> str:
@@ -190,7 +185,35 @@ def _extract(payload, path):
     return value
 
 
-_slots: dict[str, threading.BoundedSemaphore] = {}
+class _Slots:
+    """At most ``n`` holders at once, and a released slot goes to the longest waiter. Under
+    a plain semaphore the releasing thread can take its slot straight back for its next
+    record, so a waiting record starves and holds back the batch's in-order output."""
+
+    def __init__(self, n: int):
+        self._free = n
+        self._waiters: collections.deque = collections.deque()
+        self._lock = threading.Lock()
+
+    def __enter__(self):
+        with self._lock:
+            if self._free:
+                self._free -= 1
+                return
+            turn = threading.Lock()
+            turn.acquire()
+            self._waiters.append(turn)
+        turn.acquire()  # released by the holder that hands this waiter its slot
+
+    def __exit__(self, *exc):
+        with self._lock:
+            if self._waiters:
+                self._waiters.popleft().release()
+            else:
+                self._free += 1
+
+
+_slots: dict[str, _Slots] = {}
 _outcomes: Optional[list[bool]] = None  # per block: whether each live POST got a reply
 
 
@@ -210,7 +233,7 @@ def in_flight(backends):
             limits[backend.endpoint] = min(backend.max_in_flight,
                                            limits.get(backend.endpoint, backend.max_in_flight))
     outer = _slots, _outcomes
-    _slots = {endpoint: threading.BoundedSemaphore(n) for endpoint, n in limits.items()}
+    _slots = {endpoint: _Slots(n) for endpoint, n in limits.items()}
     _outcomes = outcomes = []
     try:
         yield sum(limits.values())

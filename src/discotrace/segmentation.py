@@ -15,10 +15,14 @@ That is linear in the number of EDUs and unbounded in depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
-from .rst import Edu, RstNode, RstTree
+from .rst import NUCLEARITIES, RELATIONS, Edu, RstNode, RstTree
+
+#: Every (relation, nuclearity) pair a tree can hold.
+RST_PAIRS = frozenset(product(RELATIONS, NUCLEARITIES))
 
 #: Default boundary (relation, nuclearity) pairs.
 DEFAULT_BOUNDARY_PAIRS = frozenset({
@@ -39,16 +43,10 @@ class BoundaryConfig:
     def __post_init__(self):
         if self.min_span_k < 1:
             raise ValueError("min_span_k must be >= 1")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BoundaryConfig":
-        pairs = doc.get("boundary_pairs")
-        if pairs is None:
-            boundary_pairs = DEFAULT_BOUNDARY_PAIRS
-        else:
-            boundary_pairs = frozenset((rel, nuc) for rel, nuc in pairs)
-        return cls(boundary_pairs=boundary_pairs,
-                   min_span_k=int(doc.get("min_span_k", 3)))
+        stray = frozenset(self.boundary_pairs) - RST_PAIRS
+        if stray:
+            raise ValueError(f"boundary_pairs must be (relation, nuclearity) pairs of the "
+                             f"RST vocabulary, not {min(map(repr, stray))}")
 
 
 @dataclass(frozen=True)

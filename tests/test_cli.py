@@ -1,8 +1,10 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -486,6 +488,48 @@ def test_a_batch_whose_every_connection_is_refused_exits_2(tmp_path, monkeypatch
     assert [r["answer_id"] for r in read_corpus(out)] == ["a0", "a1", "a2"]
 
 
+@pytest.mark.parametrize("signum, returncode", [(signal.SIGTERM, -signal.SIGTERM),
+                                                 (signal.SIGINT, 130)])
+def test_a_killed_trace_keeps_its_finished_records(tmp_path, signum, returncode):
+    # 300 answers, one slow POST at a time: the whole run would take a minute.
+    questions, answers, _, _, config_path, _ = make_trace_inputs(tmp_path)
+    first = read_corpus(answers)[0]
+    ids = [f"a{i}" for i in range(300)]
+    write_jsonl(answers, [{**first, "answer_id": answer_id} for answer_id in ids])
+    reply = {"choices": [{"message": {"content": '[{"action_id": "action_AQ_assert_answer"}]'}}]}
+    out = tmp_path / "traces.jsonl"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # A child started from a background shell ignores SIGINT; restore Python's handler.
+    code = ("import signal\n"
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+            "from discotrace.cli import main\n"
+            "main()")
+    with http_stub(lambda body: (200, reply), delay_s=0.2) as (endpoint, stats):
+        config_path.write_text(json.dumps({"act_labeler": {
+            "kind": "live", "endpoint": endpoint, "retry_limit": 0, "max_in_flight": 1}}))
+        child = subprocess.Popen(
+            [sys.executable, "-c", code, "trace", "--in", str(answers), "--questions",
+             str(questions), "--out", str(out), "--config", str(config_path)],
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and (
+                    not out.exists() or out.read_text().count("\n") < 2):
+                time.sleep(0.05)
+            child.send_signal(signum)
+            assert child.wait(timeout=30) == returncode
+        finally:
+            child.kill()
+            child.wait()
+    text = out.read_text()
+    assert text.endswith("\n")
+    kept = [json.loads(line)["answer_id"] for line in text.splitlines()]
+    assert 2 <= len(kept) < len(ids)
+    assert kept == ids[:len(kept)]
+
+
 def test_filter_counts_a_null_title_as_empty(tmp_path):
     raw, out, tally_out = tmp_path / "raw.jsonl", tmp_path / "kept.jsonl", tmp_path / "t.json"
     write_jsonl(raw, [{"post_id": "p1", "title": None, "score": 10,
@@ -584,6 +628,15 @@ def test_model_command(tmp_path):
     assert doc["smoothing"] == {"mode": "add_lambda", "lambda": 0.5}
     counts = {(p, n): c for p, n, c in doc["counts"]}
     assert counts[("action_AQ_assert_answer", "action_AQ_provide_reasoning")] == 1
+
+
+def test_model_reads_its_smoothing_from_the_config(tmp_path):
+    src, out, config = tmp_path / "traces.jsonl", tmp_path / "model.json", tmp_path / "c.json"
+    write_jsonl(src, [trace_record("a1", "q1", ["action_AQ_assert_answer"])])
+    config.write_text(json.dumps({"smoothing": {"mode": "add_lambda", "lambda": 2}}))
+    result = invoke("model", "--in", str(src), "--out", str(out), "--config", str(config))
+    assert result.exit_code == 0, result.output
+    assert '"lambda": 2.0' in out.read_text()  # an int lambda is read as a float
 
 
 def test_model_command_family_level(tmp_path):
@@ -1169,7 +1222,8 @@ def test_interp_command_equals_build_space_per_question(tmp_path):
     assert out.read_text() == (tmp_path / "expected.jsonl").read_text()
 
 
-# (config document, or its text, and how its error goes on after naming the file)
+# (config document, or its text, and how its error goes on after naming the file;
+# "{dir}" stands for the config's directory)
 BAD_CONFIGS = [
     ({"act_labeler": {"kind": "mock", "fixture": "f.jsonl"}},
      "act_labeler: unknown key 'fixture'"),
@@ -1190,6 +1244,24 @@ BAD_CONFIGS = [
     ({"act_labeler": {"kind": "live", "endpoint": "localhost:9/v1"}},
      "act_labeler: a live endpoint must be an http:// or https:// URL with a host, "
      "not 'localhost:9/v1'\n"),
+    ({"boundary": {"boundary_pairs": [["Contrats", "NN"]]}},
+     "boundary: boundary_pairs must be (relation, nuclearity) pairs of the RST vocabulary, "
+     "not ('Contrats', 'NN')\n"),
+    ({"boundary": {"boundary_pairs": ["NS"]}}, "boundary: boundary_pairs must be "
+     "(relation, nuclearity) pairs of the RST vocabulary, not 'NS'\n"),
+    ({"boundary": {"boundary_pairz": []}}, "boundary: unknown key 'boundary_pairz'\n"),
+    ({"boundary": {"min_span_k": 2.7}}, "boundary: min_span_k cannot be float\n"),
+    ({"boundary": {"min_span_k": "3"}}, "boundary: min_span_k cannot be str\n"),
+    ({"smoothing": {"lamda": 0.5}}, "smoothing: unknown key 'lamda'\n"),
+    ({"smoothing": {"lambda": True}}, "smoothing: lambda cannot be bool\n"),
+    ({"dedup_threshold": True}, "dedup_threshold cannot be bool\n"),
+    ({"act_labeler": {"kind": "live", "endpoint": "http://127.0.0.1:abc/v1"}},
+     "act_labeler: an endpoint's port must be a number in 0-65535, "
+     "not 'http://127.0.0.1:abc/v1'\n"),
+    ({"act_labeler": {"kind": "live", "endpoint": "http://127.0.0.1:70000/v1"}},
+     "act_labeler: an endpoint's port must be a number in 0-65535, "
+     "not 'http://127.0.0.1:70000/v1'\n"),
+    ({"ontology_path": "."}, "ontology_path: '{dir}' is not a file\n"),
 ]
 
 
@@ -1203,6 +1275,7 @@ def test_a_config_of_the_wrong_shape_names_the_file_and_key(tmp_path, doc, named
                     "--config", str(config))
     assert isinstance(result.exception, SystemExit), result.exc_info
     assert result.exit_code == 1, result.output
+    named = named.replace("{dir}", str(tmp_path.resolve()))
     assert result.stderr.startswith(f"error: config {config}: {named}"), result.stderr
 
 

@@ -422,6 +422,28 @@ def test_in_flight_bounds_an_endpoint_under_contention(monkeypatch):
     assert stats.max_in_flight == 3
 
 
+def test_a_released_slot_goes_to_the_longest_waiter():
+    # The holder leaves and asks again at once; the thread that was waiting goes first.
+    slots, order = gateway._Slots(1), []
+
+    def wait_then_hold():
+        with slots:
+            order.append("waiter")
+
+    slots.__enter__()
+    waiter = threading.Thread(target=wait_then_hold)
+    waiter.start()
+    deadline = time.monotonic() + 10
+    while not slots._waiters and time.monotonic() < deadline:
+        time.sleep(0.001)
+    slots.__exit__(None, None, None)
+    with slots:
+        order.append("holder")
+    waiter.join(10)
+    assert not waiter.is_alive()
+    assert order == ["waiter", "holder"]
+
+
 def _fail_unless_ok(body):
     """A reply to a request whose user text is "ok", a 503 to any other."""
     if body["messages"][1]["content"] == "ok":

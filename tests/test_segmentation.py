@@ -12,6 +12,7 @@ from discotrace import (
     parse_rst_tree,
     segment_answer,
 )
+from discotrace.config import PipelineConfig
 from discotrace.rst import RELATIONS, NUCLEARITIES, get_leaves, serialize_rst_tree
 
 from conftest import chain_tree, leaf, node, random_tree, tree_docs
@@ -198,12 +199,18 @@ def test_min_span_k_validation():
 
 
 def test_config_from_dict():
-    config = BoundaryConfig.from_dict(
-        {"boundary_pairs": [["Contrast", "NN"]], "min_span_k": 2}
-    )
+    config = PipelineConfig.from_dict(
+        {"boundary": {"boundary_pairs": [["Contrast", "NN"]], "min_span_k": 2}}
+    ).boundary
     assert config.boundary_pairs == frozenset({("Contrast", "NN")})
     assert config.min_span_k == 2
-    assert BoundaryConfig.from_dict({}).boundary_pairs == DEFAULT_BOUNDARY_PAIRS
+    assert PipelineConfig.from_dict({"boundary": {}}).boundary.boundary_pairs == (
+        DEFAULT_BOUNDARY_PAIRS)
+
+
+def test_boundary_pairs_come_from_the_rst_vocabulary():
+    with pytest.raises(ValueError, match=r"RST vocabulary, not \('Contrats', 'NN'\)"):
+        BoundaryConfig(boundary_pairs=frozenset({("Contrast", "NN"), ("Contrats", "NN")}))
 
 
 ALL_PAIRS = sorted((relation, nuclearity) for relation in RELATIONS for nuclearity in NUCLEARITIES)
