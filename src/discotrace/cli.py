@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import click
 
@@ -67,10 +68,11 @@ def _load_config(path) -> PipelineConfig:
     return PipelineConfig.from_file(path)
 
 
-def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> list:
-    """Map ``run_one`` over ``in_path``'s records and return the results, writing each
-    to ``out_path``, and flushing it, as soon as it and every record before it are done.
-    So a failure, a kill or Ctrl-C leaves ``out_path`` the in-order prefix finished by then.
+def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> Iterator[dict]:
+    """Map ``run_one`` over ``in_path``'s records, writing each result to ``out_path``,
+    and flushing it, as soon as it and every record before it are done, then yielding it.
+    So a failure, a kill or Ctrl-C leaves ``out_path`` the in-order prefix finished by then,
+    and no finished result is kept: memory holds the input and the records in flight.
     Live ``backends`` open :func:`gateway.in_flight`: at most ``max_in_flight`` requests on
     the wire per endpoint, and a request that is backing off holds no slot, so the batch
     runs on twice as many workers as slots and one record's backoff leaves no slot idle.
@@ -106,13 +108,11 @@ def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> list:
         with ThreadPoolExecutor(2 * slots) as pool:
             yield from pool.map(run_named, records, positions)
 
-    out_records = []
     with open(out_path, "w", encoding="utf-8") as out, gateway.in_flight(backends) as slots:
         for result in results(slots):
             corpus_io.write_record(out, result)
             out.flush()
-            out_records.append(result)
-    return out_records
+            yield result
 
 
 @click.group(cls=_ExitCodes)
@@ -180,8 +180,8 @@ def segment_cmd(in_path, out_path, config_path):
             "segments": [{"edu_indices": list(s.edu_indices), "text": s.text} for s in segments],
         }
 
-    out_records = _run_batch(in_path, out_path, run_one, "answer", "answer_id")
-    click.echo(f"segmented {len(out_records)} answers")
+    count = sum(1 for _ in _run_batch(in_path, out_path, run_one, "answer", "answer_id"))
+    click.echo(f"segmented {count} answers")
 
 
 @main.command("interp")
@@ -208,9 +208,9 @@ def interp_cmd(in_path, out_path, config_path):
             doc["warnings"] = warnings
         return doc
 
-    out_records = _run_batch(in_path, out_path, run_one, "question", "post_id",
-                             [*config.interp_generators, config.embedder])
-    click.echo(f"built {len(out_records)} interpretation spaces")
+    count = sum(1 for _ in _run_batch(in_path, out_path, run_one, "question", "post_id",
+                                      [*config.interp_generators, config.embedder]))
+    click.echo(f"built {count} interpretation spaces")
 
 
 @main.command("trace")
@@ -249,10 +249,12 @@ def trace_cmd(in_path, questions_path, spaces_path, out_path, config_path):
         )
         return trace.to_dict()
 
-    out_records = _run_batch(in_path, out_path, run_one, "answer", "answer_id",
-                             [config.act_labeler, labeler])
-    n_diag = sum(len(r["diagnostics"]) for r in out_records)
-    click.echo(f"traced {len(out_records)} answers ({n_diag} diagnostics)")
+    count = n_diag = 0
+    for record in _run_batch(in_path, out_path, run_one, "answer", "answer_id",
+                             [config.act_labeler, labeler]):
+        count += 1
+        n_diag += len(record["diagnostics"])
+    click.echo(f"traced {count} answers ({n_diag} diagnostics)")
 
 
 def _act_id_view(ontology, view=None):
@@ -414,8 +416,9 @@ def mimic_cmd(in_path, out_path, config_path, subreddit, explanation,
             "generator": backend.name,
         }
 
-    out_records = _run_batch(in_path, out_path, run_one, "question", "post_id", [backend])
-    click.echo(f"generated {len(out_records)} mimic answers")
+    count = sum(1 for _ in _run_batch(in_path, out_path, run_one, "question", "post_id",
+                                      [backend]))
+    click.echo(f"generated {count} mimic answers")
 
 
 if __name__ == "__main__":

@@ -62,9 +62,13 @@ def typed(doc: dict, key: str, kind, *default):
 
 def of_type(key: str, value, kind):
     """``value`` if its type is exactly ``kind`` (so a bool is no int), or an int where ``kind``
-    is float, as a float; else a TypeError naming ``key``."""
+    is float, as a float; else a TypeError naming ``key`` (a ValueError for an int too large
+    for a float)."""
     if kind is float and type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{key} is too large for a float") from None
     if type(value) is not kind:
         raise TypeError(f"{key} cannot be {type(value).__name__}")
     return value
@@ -248,7 +252,13 @@ def read_corpus(path, view=None) -> list:
     """Read a JSONL corpus; unknown fields are preserved verbatim. ``view``
     maps each record as it is read, so only what it keeps stays in memory;
     a record it cannot read raises ``MalformedLine`` with the line's number.
-    The cyclic GC is paused meanwhile: parsed JSON cannot form cycles."""
+
+    The cyclic GC is paused meanwhile, and a read that succeeds ends with
+    ``gc.freeze()``: every object the process holds then, the records among
+    them, moves to the permanent generation, which later collections do not
+    walk. Parsed JSON cannot form cycles, and a frozen object is still freed
+    by reference counting when its last reference goes; only cyclic garbage
+    made before the freeze would stay until ``gc.unfreeze()``."""
     records = []
     was_enabled = gc.isenabled()
     gc.disable()
@@ -278,6 +288,7 @@ def read_corpus(path, view=None) -> list:
                                    else f"unreadable record ({type(exc).__name__}: {exc})")
                         raise MalformedLine(number, message) from exc
                 records.append(record)
+        gc.freeze()
     finally:
         if was_enabled:
             gc.enable()

@@ -32,7 +32,7 @@ from .rst import RstTree
 from .segmentation import ActionSegment
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceStep:
     """One (act, interpretation) step; ``tag_answer`` leaves the interpretation unset."""
 
@@ -69,19 +69,19 @@ class DiscoTrace:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DiscoTrace":
-        return cls(
-            answer_id=typed(doc, "answer_id", str),
-            question_id=typed(doc, "question_id", str, ""),
-            steps=[
-                TraceStep(
-                    act_id=s["act_id"],
-                    edu_indices=tuple(s.get("edu_indices", [])),
-                    interpretation_id=typed(s, "interpretation_id", (str, type(None)), None),
-                )
-                for s in doc.get("steps", [])
-            ],
-            diagnostics=list(doc.get("diagnostics", [])),
-        )
+        """A trace from its JSON object; a field of the wrong type raises ``TypeError``
+        naming it, which ``read_corpus`` reports with its line."""
+        answer_id, question_id = typed(doc, "answer_id", str), typed(doc, "question_id", str, "")
+        steps = []
+        for step in doc.get("steps", ()):
+            act_id = step["act_id"]  # first, so that a step that is no object is a TypeError
+            edu_indices = tuple(step.get("edu_indices", ()))
+            interpretation_id = step.get("interpretation_id")
+            if interpretation_id is not None and not isinstance(interpretation_id, str):
+                raise TypeError(
+                    f"interpretation_id cannot be {type(interpretation_id).__name__}")
+            steps.append(TraceStep(act_id, edu_indices, interpretation_id))
+        return cls(answer_id, question_id, steps, list(doc.get("diagnostics", ())))
 
 
 def tag_answer(

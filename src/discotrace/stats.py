@@ -258,11 +258,15 @@ def interpretation_metrics(
 ) -> InterpretationMetrics:
     """Addressing metrics over traces. By default every
     interpretation-eligible act counts; pass ``families`` (e.g. {"AQ"}) to
-    restrict the computation to acts from those families."""
+    restrict the computation to acts from those families.
 
-    def counts(act_id):
-        return is_eligible(ontology, act_id) and (
-            families is None or ontology.get(act_id).family in families)
+    The counted acts are worked out once from ``ontology``; each trace's steps are
+    then walked once. An act id outside ``ontology`` raises ``UnknownActId``, a
+    question id outside ``spaces`` ``UnknownSpaceReference``. ``dedication`` holds
+    an answer's interpretations in the order its steps first address them."""
+    counted = frozenset(a.id for a in ontology.acts if is_eligible(ontology, a.id) and (
+        families is None or a.family in families))
+    known = frozenset(ontology.act_ids()) | {NONE_ACT_ID}
 
     coverage, matched_per_answer, eligible_per_answer, dedication = {}, {}, {}, {}
     total_eligible = total_unmatched = 0
@@ -272,22 +276,27 @@ def interpretation_metrics(
             raise UnknownSpaceReference(
                 f"trace {trace.answer_id!r} references unknown question {trace.question_id!r}"
             )
-        space = spaces[trace.question_id]
-        eligible_steps = [step for step in trace.steps if counts(step.act_id)]
-        matched = [s for s in eligible_steps if s.interpretation_id is not None]
-        matched_per_answer[trace.answer_id] = len(matched)
-        eligible_per_answer[trace.answer_id] = len(eligible_steps)
-        total_eligible += len(eligible_steps)
-        total_unmatched += len(eligible_steps) - len(matched)
+        eligible = 0
+        per_interp = {}  # interpretation id -> eligible steps addressing it
+        for step in trace.steps:
+            if step.act_id in counted:
+                eligible += 1
+                if step.interpretation_id is not None:
+                    per_interp[step.interpretation_id] = per_interp.get(
+                        step.interpretation_id, 0) + 1
+            elif step.act_id not in known:
+                ontology.get(step.act_id)  # raises UnknownActId
+        matched = sum(per_interp.values())
+        matched_per_answer[trace.answer_id] = matched
+        eligible_per_answer[trace.answer_id] = eligible
+        total_eligible += eligible
+        total_unmatched += eligible - matched
 
-        if len(space) >= 2:
-            addressed = {s.interpretation_id for s in matched}
-            coverage[trace.answer_id] = len(addressed) / len(space)
-
-        if eligible_steps:
-            per_interp = Counter(s.interpretation_id for s in matched)
-            for iid, count in per_interp.items():
-                dedication[(trace.answer_id, iid)] = count / len(eligible_steps)
+        size = len(spaces[trace.question_id])
+        if size >= 2:
+            coverage[trace.answer_id] = len(per_interp) / size
+        for iid, count in per_interp.items():
+            dedication[(trace.answer_id, iid)] = count / eligible
 
     unmatched_rate = total_unmatched / total_eligible if total_eligible else 0.0
     return InterpretationMetrics(coverage, unmatched_rate, matched_per_answer,

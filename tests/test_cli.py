@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from discotrace import (
     segment_answer,
     tag_answer,
 )
+from discotrace import cli
 from discotrace import corpus as corpus_io
 from discotrace import gateway
 from discotrace.cli import main
@@ -488,6 +490,26 @@ def test_a_batch_whose_every_connection_is_refused_exits_2(tmp_path, monkeypatch
     assert [r["answer_id"] for r in read_corpus(out)] == ["a0", "a1", "a2"]
 
 
+def test_a_batch_keeps_no_finished_record(tmp_path):
+    class Record(dict):  # a dict that a weak reference can follow
+        pass
+
+    src = tmp_path / "answers.jsonl"
+    write_jsonl(src, [{"answer_id": f"a{i}"} for i in range(4)])
+    made = []
+
+    def run_one(record):
+        made.append(weakref.ref(result := Record(record)))
+        return result
+
+    out = tmp_path / "o.jsonl"
+    for position, result in enumerate(cli._run_batch(src, out, run_one, "answer", "answer_id")):
+        assert result["answer_id"] == f"a{position}"
+        assert [ref() is not None for ref in made] == [i == position for i in range(len(made))]
+    assert len(made) == 4
+    assert [r["answer_id"] for r in read_corpus(out)] == ["a0", "a1", "a2", "a3"]
+
+
 @pytest.mark.parametrize("signum, returncode", [(signal.SIGTERM, -signal.SIGTERM),
                                                  (signal.SIGINT, 130)])
 def test_a_killed_trace_keeps_its_finished_records(tmp_path, signum, returncode):
@@ -820,6 +842,62 @@ def test_metrics_command(tmp_path):
     assert doc["unmatched_rate"] == 0.5
     assert doc["coverage"]["a1"] == 0.5
     assert doc["dedication"]["a1:id_1"] == 0.5
+
+
+def test_metrics_json_keeps_its_bytes(tmp_path):
+    # Key order is part of the output: dedication lists an answer's interpretations
+    # in the order its steps first address them (id_2 before id_1 in a1).
+    aq, example = "action_AQ_assert_answer", "action_AQ_provide_example"
+    si, cq = "action_SI_clarification", "action_CQ_reject_presupposition"
+
+    def steps(*pairs):
+        return [{"act_id": act, "edu_indices": [i], **({"interpretation_id": iid} if iid else {})}
+                for i, (act, iid) in enumerate(pairs)]
+
+    src = tmp_path / "traces.jsonl"
+    write_jsonl(src, [
+        {"answer_id": "a1", "question_id": "q3", "steps": steps(
+            (aq, "id_2"), ("NONE", None), (example, "id_1"), (si, "id_2"), (cq, "id_3"),
+            (aq, None))},
+        {"answer_id": "a2", "question_id": "q1", "steps": steps((si, "id_1"), (aq, None))},
+        {"answer_id": "a3", "question_id": "q0", "steps": steps((cq, None), ("NONE", None))},
+        {"answer_id": "a4", "question_id": "q3", "steps": []},
+    ])
+    spaces_path = tmp_path / "spaces.jsonl"
+    write_jsonl(spaces_path, [InterpretationSpace(
+        question_id=f"q{n}",
+        members=[Interpretation(id=f"id_{i + 1}", text=f"r{i}") for i in range(n)],
+    ).to_dict() for n in (0, 1, 3)])
+    out = tmp_path / "metrics.json"
+    result = invoke("metrics", "--in", str(src), "--spaces", str(spaces_path),
+                    "--out", str(out))
+    assert result.exit_code == 0, result.output
+    assert out.read_text() == """{
+  "unmatched_rate": 0.3333333333333333,
+  "coverage_mean": 0.3333333333333333,
+  "dedication_mean": 0.4166666666666667,
+  "coverage": {
+    "a1": 0.6666666666666666,
+    "a4": 0.0
+  },
+  "matched_per_answer": {
+    "a1": 3,
+    "a2": 1,
+    "a3": 0,
+    "a4": 0
+  },
+  "eligible_per_answer": {
+    "a1": 4,
+    "a2": 2,
+    "a3": 0,
+    "a4": 0
+  },
+  "dedication": {
+    "a1:id_2": 0.5,
+    "a1:id_1": 0.25,
+    "a2:id_1": 0.5
+  }
+}"""
 
 
 def test_analyze_commands_equal_the_library_path(tmp_path):
@@ -1262,6 +1340,8 @@ BAD_CONFIGS = [
      "act_labeler: an endpoint's port must be a number in 0-65535, "
      "not 'http://127.0.0.1:70000/v1'\n"),
     ({"ontology_path": "."}, "ontology_path: '{dir}' is not a file\n"),
+    ({"smoothing": {"lambda": 10 ** 400}}, "smoothing: lambda is too large for a float\n"),
+    ({"dedup_threshold": 10 ** 400}, "dedup_threshold is too large for a float\n"),
 ]
 
 

@@ -13,9 +13,11 @@ from discotrace import (
     segment_answer,
     tag_answer,
 )
+from discotrace.corpus import read_corpus
+from discotrace.errors import MalformedLine
 from discotrace.gateway import append_fixture, request_digest
 from discotrace.interpretations import Interpretation, InterpretationSpace
-from discotrace.pipeline import TraceStep
+from discotrace.pipeline import DiscoTrace, TraceStep
 
 from conftest import chain_tree, http_stub, leaf, node, record_fixture_by_replay
 
@@ -289,6 +291,24 @@ def test_trace_round_trip(tmp_path):
     doc = trace.to_dict()
     assert DiscoTrace.from_dict(doc).to_dict() == doc
     assert doc["steps"][0] == {"act_id": "action_AQ_assert_answer", "edu_indices": [0, 1]}
+
+
+@pytest.mark.parametrize("step", [["x"], "x", 7, None])
+def test_from_dict_rejects_a_step_that_is_no_object(tmp_path, step):
+    doc = {"answer_id": "a", "steps": [step]}
+    with pytest.raises(TypeError):
+        DiscoTrace.from_dict(doc)
+    path = tmp_path / "traces.jsonl"
+    path.write_text(json.dumps(doc) + "\n")
+    with pytest.raises(MalformedLine, match="^line 1: unreadable record \\(TypeError"):
+        read_corpus(path, view=DiscoTrace.from_dict)
+
+
+@pytest.mark.parametrize("value, kind", [(7, "int"), (["id_1"], "list"), (False, "bool")])
+def test_from_dict_names_a_wrong_typed_interpretation_id(value, kind):
+    step = {"act_id": "action_AQ_assert_answer", "interpretation_id": value}
+    with pytest.raises(TypeError, match=f"^interpretation_id cannot be {kind}$"):
+        DiscoTrace.from_dict({"answer_id": "a", "steps": [step]})
 
 
 def test_replay_is_deterministic(tmp_path):

@@ -23,6 +23,7 @@ from discotrace.errors import (
     EmptyCorpus,
     LengthMismatch,
     QuestionMismatch,
+    UnknownActId,
     UnknownSpaceReference,
     ZeroProbabilityTransition,
 )
@@ -397,6 +398,66 @@ def test_unknown_space_reference():
     with pytest.raises(UnknownSpaceReference):
         interpretation_metrics(
             [trace("a1", "missing", [(ELIGIBLE, "id_1")])], {}, ontology)
+
+
+@pytest.mark.parametrize("families", [None, {"AQ"}, {"SI"}])
+@pytest.mark.parametrize("unknown", ["foo", "action_aq_assert_answer"])
+def test_an_act_outside_the_ontology_raises(families, unknown):
+    ontology = load_ontology()
+    t = trace("a1", "q1", [(ELIGIBLE, "id_1"), ("NONE", None), (unknown, None)])
+    with pytest.raises(UnknownActId, match=f"unknown act id {unknown!r}"):
+        interpretation_metrics([t], {"q1": space("q1", 2)}, ontology, families=families)
+
+
+def metrics_by_hand(traces, spaces, ontology, families=None):
+    """interpretation_metrics as the paper defines it, one quantity at a time."""
+    def counts(act_id):
+        act = ontology.get(act_id)
+        return (act_id != "NONE" and act.interpretation_eligible
+                and (families is None or act.family in families))
+
+    coverage, matched, eligible, dedication = {}, {}, {}, {}
+    for t in traces:
+        steps = [s for s in t.steps if counts(s.act_id)]
+        ids = [s.interpretation_id for s in steps if s.interpretation_id is not None]
+        matched[t.answer_id] = len(ids)
+        eligible[t.answer_id] = len(steps)
+        if len(spaces[t.question_id]) >= 2:
+            coverage[t.answer_id] = len(set(ids)) / len(spaces[t.question_id])
+        for iid in dict.fromkeys(ids):  # in the order the steps first address them
+            dedication[(t.answer_id, iid)] = ids.count(iid) / len(steps)
+    n_eligible = sum(eligible.values())
+    unmatched = (n_eligible - sum(matched.values())) / n_eligible if n_eligible else 0.0
+    return coverage, unmatched, matched, eligible, dedication
+
+
+# Eligible acts of two families, an ineligible act and the NONE sentinel.
+METRIC_ACTS = [ELIGIBLE, "action_AQ_provide_example", "action_SI_clarification",
+               INELIGIBLE, "NONE"]
+
+
+@given(sizes=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       answers=st.lists(st.tuples(
+           st.integers(0, 2),
+           st.lists(st.tuples(st.sampled_from(METRIC_ACTS),
+                              st.sampled_from([None, "id_1", "id_2", "id_3"])),
+                    max_size=8)), max_size=8),
+       families=st.sampled_from([None, {"AQ"}, {"SI"}, {"AQ", "SI"}, set()]))
+@settings(max_examples=200, deadline=None)
+def test_interpretation_metrics_equal_the_hand_count(sizes, answers, families):
+    ontology = load_ontology()
+    spaces = {f"q{q}": space(f"q{q}", n) for q, n in enumerate(sizes)}
+    traces = [trace(f"a{i}", f"q{q % len(sizes)}", pairs)
+              for i, (q, pairs) in enumerate(answers)]
+    m = interpretation_metrics(traces, spaces, ontology, families=families)
+    coverage, unmatched, matched, eligible, dedication = metrics_by_hand(
+        traces, spaces, ontology, families)
+    # Compared as item lists, so that the order of each dict counts: it is the output's.
+    assert list(m.coverage.items()) == list(coverage.items())
+    assert m.unmatched_rate == unmatched
+    assert list(m.matched_per_answer.items()) == list(matched.items())
+    assert list(m.eligible_per_answer.items()) == list(eligible.items())
+    assert list(m.dedication.items()) == list(dedication.items())
 
 
 # ---------------------------------------------------------------------------
