@@ -4,7 +4,7 @@ Run: python3 demos/corpus_filtering_demo.py
 """
 
 from discotrace import RawPost, filter_posts, sample_questions
-from discotrace.corpus import RawComment, FilterConfig, filter_comments
+from discotrace.corpus import RawComment, filter_comments
 
 
 def post(post_id, title, score=10, profanity=0.0, n_comments=6):
@@ -35,8 +35,7 @@ for rule, count in sorted(tally.items()):
         print(f"  {rule}: {count}")
 
 # Each surviving post also needs enough scored top-level answers.
-config = FilterConfig()
-with_answers = [p for p in kept if filter_comments(p, config) is not None]
+with_answers = [p for p in kept if filter_comments(p) is not None]
 print("with enough answers:", [p.post_id for p in with_answers])
 
 picked = sample_questions(with_answers, 2, seed=42)

@@ -45,7 +45,6 @@ from .stats import (
     perplexity,
 )
 from .corpus import (
-    FilterConfig,
     RawComment,
     RawPost,
     filter_comments,

@@ -127,11 +127,10 @@ def main():
 def filter_cmd(in_path, out_path, tally_out):
     """Apply the question-quality filters to a raw post dump."""
     posts = corpus_io.read_corpus(in_path, view=corpus_io.RawPost.from_dict)
-    config = corpus_io.FilterConfig()
-    kept, tally = corpus_io.filter_posts(posts, config)
+    kept, tally = corpus_io.filter_posts(posts)
     out_records = []
     for post in kept:
-        comments = corpus_io.filter_comments(post, config)
+        comments = corpus_io.filter_comments(post)
         if comments is None:
             tally["comment_count_bounds"] = tally.get("comment_count_bounds", 0) + 1
             continue

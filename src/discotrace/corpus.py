@@ -2,10 +2,10 @@
 persistence.
 
 Filtering keeps only information-seeking questions with enough surviving
-answers. Each post is tallied under the first rule of ``_RULES`` it fails;
-the word/phrase lists and the multiple-question heuristic are editable
-configuration, not fixed contracts. Profanity is consumed as a precomputed
-per-post probability; posts without a score are kept but flagged.
+answers. Each post is tallied under the first rule of ``_RULES`` it fails.
+The thresholds and the word and phrase lists are module constants; no command
+or config key sets them. Profanity is consumed as a precomputed per-post
+probability; posts without a score are kept but flagged.
 """
 
 from __future__ import annotations
@@ -34,17 +34,20 @@ REDDIT_TERMS = ("subreddit", "redditor", "upvote", "karma")
 
 VALIDATION_PHRASES = ("is this normal", "does anyone else", "is this okay")
 
-RELATIONSHIP_TERMS = (
-    "my husband", "my wife", "my boyfriend", "my girlfriend", "my partner",
-    "my mom", "my mother", "my dad", "my father", "my son", "my daughter",
-    "my ex", "my family",
-)
-
 FIRST_PERSON = ("i", "i'm", "i've", "i'd", "i'll", "me", "my", "mine", "we", "our", "us")
 
-DEFAULT_MIN_COMMENTS = {"ScienceBasedParenting": 4}
+MIN_TITLE_TOKENS = 4
+MIN_POST_SCORE = 5
+MIN_COMMENT_SCORE = 3
+PROFANITY_THRESHOLD = 0.8
 
-DEFAULT_MAX_COMMENTS = {
+#: Surviving comments a post needs, by community; ``DEFAULT_MIN_COMMENTS`` in any other.
+MIN_COMMENTS = {"ScienceBasedParenting": 4}
+DEFAULT_MIN_COMMENTS = 5
+
+#: The most surviving comments a post may have, by community; a post of any other
+#: community raises ``UnknownCommunity``.
+MAX_COMMENTS = {
     "AskHistorians": 12, "history": 12, "OutOfTheLoop": 12, "beyondthebump": 12,
     "asklinguistics": 15, "explainlikeimfive": 15,
     "NoStupidQuestions": 18, "ScienceBasedParenting": 20, "AskEconomics": 30,
@@ -52,12 +55,13 @@ DEFAULT_MAX_COMMENTS = {
 
 
 def typed(doc: dict, key: str, kind, *default):
-    """``doc[key]``, or ``default`` when given and the key is absent, if it is a ``kind``;
-    else a TypeError naming the key, which ``read_corpus`` reports with its line."""
+    """``doc[key]``, or ``default`` when given and the key is absent, read by :func:`of_type`;
+    a null passes where that default is None. A TypeError names the key, and ``read_corpus``
+    reports it with its line."""
     value = doc.get(key, *default) if default else doc[key]
-    if not isinstance(value, kind):
-        raise TypeError(f"{key} cannot be {type(value).__name__}")
-    return value
+    if value is None and default == (None,):
+        return None
+    return of_type(key, value, kind)
 
 
 def of_type(key: str, value, kind):
@@ -99,6 +103,16 @@ class RawComment:
     score: int
     top_level: bool = True
 
+    @classmethod
+    def from_dict(cls, doc: dict) -> "RawComment":
+        doc = of_type("a comment", doc, dict)
+        return cls(
+            comment_id=typed(doc, "comment_id", str),
+            text=typed(doc, "text", str, ""),
+            score=typed(doc, "score", int, 0),
+            top_level=typed(doc, "top_level", bool, True),
+        )
+
 
 @dataclass
 class RawPost:
@@ -112,40 +126,17 @@ class RawPost:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RawPost":
+        """A post from its JSON object: each field of its exact JSON type (a score is an
+        integer, a profanity_prob a number or null, a title text or null, read as "")."""
         return cls(
             post_id=typed(doc, "post_id", str),
-            title=typed(doc, "title", (str, type(None)), ""),
-            score=int(doc.get("score", 0)),
+            title=typed(doc, "title", str, None) or "",
+            score=typed(doc, "score", int, 0),
             created_at=doc.get("created_at", ""),
             community=typed(doc, "community", str, ""),
-            profanity_prob=typed(doc, "profanity_prob", (int, float, type(None)), None),
-            comments=[
-                RawComment(
-                    comment_id=c["comment_id"],
-                    text=c.get("text", ""),
-                    score=int(c.get("score", 0)),
-                    top_level=bool(c.get("top_level", True)),
-                )
-                for c in doc.get("comments", [])
-            ],
+            profanity_prob=typed(doc, "profanity_prob", float, None),
+            comments=[RawComment.from_dict(c) for c in typed(doc, "comments", list, [])],
         )
-
-
-@dataclass
-class FilterConfig:
-    min_title_tokens: int = 4
-    min_post_score: int = 5
-    min_comment_score: int = 3
-    profanity_threshold: float = 0.8
-    min_comments: dict = field(default_factory=lambda: dict(DEFAULT_MIN_COMMENTS))
-    max_comments: dict = field(default_factory=lambda: dict(DEFAULT_MAX_COMMENTS))
-    default_min_comments: Optional[int] = 5
-    default_max_comments: Optional[int] = None
-    wh_words: tuple = WH_WORDS
-    reddit_terms: tuple = REDDIT_TERMS
-    validation_phrases: tuple = VALIDATION_PHRASES
-    relationship_terms: tuple = RELATIONSHIP_TERMS
-    first_person: tuple = FIRST_PERSON
 
 
 class _Title(NamedTuple):
@@ -160,48 +151,38 @@ _WORD_RE = re.compile(r"[\w']+")
 _SENTENCE_THEN_TEXT_RE = re.compile(r"[.!?]\s+\S")
 
 
-def _has_phrase(title: _Title, phrases) -> bool:
-    """Whether one of ``phrases`` occurs in the title as whole words."""
-    return any(f" {' '.join(_WORD_RE.findall(x.lower()))} " in title.spaced for x in phrases)
-
-
-#: (rule name, predicate(post, title, config) true when the post fails the rule),
-#: in application order.
+#: (rule name, predicate(post, title) true when the post fails the rule), in application order.
 _RULES = (
-    ("empty_title", lambda p, t, c: not t.text.strip()),
-    ("low_score", lambda p, t, c: p.score < c.min_post_score),
+    ("empty_title", lambda p, t: not t.text.strip()),
+    ("low_score", lambda p, t: p.score < MIN_POST_SCORE),
     # Counted on the title as given: "\u0130".lower() is two code points, the second no
     # word character, so lowering can change the count.
-    ("short_title", lambda p, t, c: len(_WORD_RE.findall(t.text)) < c.min_title_tokens),
+    ("short_title", lambda p, t: len(_WORD_RE.findall(t.text)) < MIN_TITLE_TOKENS),
     ("not_interrogative",
-     lambda p, t, c: not t.text.rstrip().endswith("?") and t.words.isdisjoint(c.wh_words)),
-    ("reddit_term", lambda p, t, c: not t.words.isdisjoint(c.reddit_terms)),
+     lambda p, t: not t.text.rstrip().endswith("?") and t.words.isdisjoint(WH_WORDS)),
+    ("reddit_term", lambda p, t: not t.words.isdisjoint(REDDIT_TERMS)),
     # Two question marks, or sentence-final punctuation followed by more text. Stripping
     # the title first would change neither: strip() removes exactly what \s matches.
     ("multiple_questions",
-     lambda p, t, c: t.text.count("?") > 1 or _SENTENCE_THEN_TEXT_RE.search(t.text) is not None),
+     lambda p, t: t.text.count("?") > 1 or _SENTENCE_THEN_TEXT_RE.search(t.text) is not None),
     ("profanity",
-     lambda p, t, c: p.profanity_prob is not None and p.profanity_prob > c.profanity_threshold),
-    ("first_person", lambda p, t, c: not t.words.isdisjoint(c.first_person)),
-    ("relationship_term", lambda p, t, c: _has_phrase(t, c.relationship_terms)),
-    ("validation_seeking", lambda p, t, c: _has_phrase(t, c.validation_phrases)),
+     lambda p, t: p.profanity_prob is not None and p.profanity_prob > PROFANITY_THRESHOLD),
+    ("first_person", lambda p, t: not t.words.isdisjoint(FIRST_PERSON)),
+    # Each phrase is lowered words joined by single spaces, so it matches whole words only.
+    ("validation_seeking", lambda p, t: any(f" {x} " in t.spaced for x in VALIDATION_PHRASES)),
 )
 
 #: Rejection rule names in application order.
 FILTER_RULES = tuple(name for name, _ in _RULES)
 
 
-def filter_posts(
-    posts: list[RawPost],
-    config: Optional[FilterConfig] = None,
-) -> tuple[list[RawPost], dict[str, int]]:
+def filter_posts(posts: list[RawPost]) -> tuple[list[RawPost], dict[str, int]]:
     """Apply the title filters in order; returns (kept, per-rule tally).
 
     A post is tallied under the first rule it fails. Posts lacking a
     profanity score are kept and tallied under ``missing_profanity_score``
     (informational; not a rejection).
     """
-    config = config or FilterConfig()
     kept = []
     tally = {rule: 0 for rule in FILTER_RULES}
     tally["missing_profanity_score"] = 0
@@ -209,7 +190,7 @@ def filter_posts(
         text = post.title or ""
         words = _WORD_RE.findall(text.lower())
         title = _Title(text, f" {' '.join(words)} ", set(words))
-        rule = next((name for name, fails in _RULES if fails(post, title, config)), None)
+        rule = next((name for name, fails in _RULES if fails(post, title)), None)
         if rule is None:
             if post.profanity_prob is None:
                 tally["missing_profanity_score"] += 1
@@ -219,24 +200,19 @@ def filter_posts(
     return kept, tally
 
 
-def filter_comments(post: RawPost, config: Optional[FilterConfig] = None):
+def filter_comments(post: RawPost):
     """Surviving top-level comments, or None when the post is dropped.
 
-    Keeps top-level comments with score >= min_comment_score, then keeps
+    Keeps top-level comments with score >= ``MIN_COMMENT_SCORE``, then keeps
     the post only if the surviving count lies within the community's
     [min, max] bounds (inclusive).
     """
-    config = config or FilterConfig()
-    surviving = [
-        c for c in post.comments
-        if c.top_level and c.score >= config.min_comment_score
-    ]
-    lo = config.min_comments.get(post.community, config.default_min_comments)
-    hi = config.max_comments.get(post.community, config.default_max_comments)
-    if lo is None or hi is None:
+    surviving = [c for c in post.comments if c.top_level and c.score >= MIN_COMMENT_SCORE]
+    if post.community not in MAX_COMMENTS:
         raise UnknownCommunity(f"post {post.post_id!r}: no comment-count bounds "
                                f"configured for community {post.community!r}")
-    if lo <= len(surviving) <= hi:
+    lo = MIN_COMMENTS.get(post.community, DEFAULT_MIN_COMMENTS)
+    if lo <= len(surviving) <= MAX_COMMENTS[post.community]:
         return surviving
     return None
 

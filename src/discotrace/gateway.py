@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 from urllib.parse import urlsplit
 
-from .corpus import read_fields
+from .corpus import of_type, read_fields, typed
 from .errors import (
     AuthError, EmbeddingDimensionMismatch, FixtureMiss, TransportError, UnparsableResponse,
 )
@@ -128,7 +128,9 @@ def load_fixture(path: str) -> dict[str, str]:
     """Load (and cache by the path as given, until its mtime changes) a
     fixture file mapping digest -> response text. Threads that miss the
     cache together read the file once. Each read also drops the cached
-    files that no longer exist."""
+    files that no longer exist, and checks each record once: a line that is
+    not a JSON object with a text ``request_digest`` and ``response_text``
+    raises ``ValueError`` naming the file and the line."""
     key = os.fspath(path)
     mtime = os.path.getmtime(key)
     cached = _fixture_cache.get(key)
@@ -139,11 +141,23 @@ def load_fixture(path: str) -> dict[str, str]:
                 for other in list(_fixture_cache):
                     if not os.path.exists(other):
                         del _fixture_cache[other]
-                with open(key, encoding="utf-8") as handle:
-                    records = (json.loads(line) for line in handle if line.strip())
-                    entries = {r["request_digest"]: r["response_text"] for r in records}
-                cached = _fixture_cache[key] = (mtime, entries)
+                cached = _fixture_cache[key] = (mtime, _read_fixture(key))
     return cached[1]
+
+
+def _read_fixture(path: str) -> dict[str, str]:
+    entries = {}
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = of_type("a fixture record", json.loads(line), dict)
+                entries[typed(record, "request_digest", str)] = typed(record, "response_text", str)
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                message = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"fixture {path}: line {number}: {message}") from exc
+    return entries
 
 
 def append_fixture(path: str, digest: str, response_text: str) -> None:

@@ -16,7 +16,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
 
+from .corpus import of_type, typed
 from .errors import (
+    DiscoTraceError,
     DuplicateActId,
     MissingNoneSentinel,
     UnknownActId,
@@ -77,28 +79,36 @@ class Ontology:
 def load_ontology(source: Union[str, Path, dict, None] = None) -> Ontology:
     """Load and validate an ontology from a JSON file, dict, or the default.
 
-    With no argument, loads the ontology shipped with the package.
+    With no argument, loads the ontology shipped with the package. Each act's
+    ``id``, ``display_name`` and ``description`` are text, its ``family`` text or
+    null, and ``interpretation_eligible`` a boolean. A file that is not such an
+    ontology raises ``ValueError`` naming it: ``ontology <path>: ...``.
     """
     if source is None:
-        doc = json.loads(
-            resources.files("discotrace.data")
-            .joinpath("default_ontology.json")
-            .read_text()
-        )
-    elif isinstance(source, dict):
-        doc = source
-    else:
-        doc = json.loads(Path(source).read_text())
+        return _ontology_of(json.loads(
+            resources.files("discotrace.data").joinpath("default_ontology.json").read_text()))
+    if isinstance(source, dict):
+        return _ontology_of(source)
+    text = Path(source).read_text()
+    try:
+        return _ontology_of(json.loads(text))
+    except (DiscoTraceError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        message = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"ontology {source}: {message}") from exc
 
+
+def _ontology_of(doc: dict) -> Ontology:
+    doc = of_type("an ontology", doc, dict)
     acts = []
     seen = set()
-    for entry in doc["acts"]:
+    for entry in of_type("acts", doc["acts"], list):
+        entry = of_type("an act", entry, dict)
         act = DiscourseAct(
-            id=entry["id"],
-            family=entry.get("family"),
-            display_name=entry["display_name"],
-            interpretation_eligible=bool(entry["interpretation_eligible"]),
-            description=entry.get("description", ""),
+            id=typed(entry, "id", str),
+            family=typed(entry, "family", str, None),
+            display_name=typed(entry, "display_name", str),
+            interpretation_eligible=typed(entry, "interpretation_eligible", bool),
+            description=typed(entry, "description", str, ""),
         )
         if act.id in seen:
             raise DuplicateActId(f"duplicate act id {act.id!r}")

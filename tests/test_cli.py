@@ -375,6 +375,15 @@ BAD_FIELDS = [
     ("metrics", "traces", "question_id", {}),
     ("metrics", "spaces", "question_id", []),
     ("metrics", "spaces", "question_id", {}),
+    ("filter", "raw", "profanity_prob", True),
+    ("filter", "raw", "score", "10"),
+    ("filter", "raw", "score", 9.9),
+    ("filter", "raw", "comments", [{"comment_id": "c0", "text": "t", "score": 3,
+                                    "top_level": "false"}]),
+    ("filter", "raw", "comments", [{"comment_id": "c0", "text": "t", "score": "3"}]),
+    ("filter", "raw", "comments", [{"comment_id": "c0", "text": "t", "score": 2.5}]),
+    ("filter", "raw", "comments", [{"comment_id": 7, "text": "t", "score": 3}]),
+    ("filter", "raw", "comments", [{"comment_id": "c0", "text": 7, "score": 3}]),
 ]
 
 
@@ -404,6 +413,66 @@ def test_a_field_of_the_wrong_type_names_its_record(tmp_path, command, role, key
     assert "Traceback" not in result.output
     named = "error: answer 'a2': " if role == "answers" else "error: line 2: "
     assert result.stderr.startswith(named), result.stderr
+
+
+# (a line appended to the fixture file, what the error says of it)
+BAD_FIXTURE_LINES = [
+    ("not json", "Expecting value"),
+    ('{"response_text": "r"}', "missing field 'request_digest'"),
+    ('["d", "r"]', "a fixture record cannot be list"),
+    ('{"request_digest": "d", "response_text": 7}', "response_text cannot be int"),
+]
+
+
+@pytest.mark.parametrize("line, reason", BAD_FIXTURE_LINES)
+def test_a_bad_fixture_line_names_the_file_and_the_line(tmp_path, line, reason):
+    questions, answers, spaces, fixture, config_path, space = make_trace_inputs(tmp_path)
+    seed_trace_fixture(fixture, space)
+    with open(fixture, "a", encoding="utf-8") as handle:
+        handle.write("\n" + line + "\n")
+    number = len(fixture.read_text().splitlines())
+    result = invoke("trace", "--in", str(answers), "--questions", str(questions),
+                    "--spaces", str(spaces), "--out", str(tmp_path / "out.jsonl"),
+                    "--config", str(config_path))
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code == 1, result.output
+    assert f"fixture {fixture.resolve()}: line {number}: {reason}" in result.stderr
+
+
+def _eligible_as(value):
+    doc = load_ontology().to_dict()
+    doc["acts"][0]["interpretation_eligible"] = value
+    return json.dumps(doc)
+
+
+# The ontology file's text, and what the error says of it.
+BAD_ONTOLOGIES = [
+    pytest.param('{"acts": [[1]]}', "an act cannot be list", id="act-list"),
+    pytest.param(_eligible_as("false"), "interpretation_eligible cannot be str",
+                 id="eligible-text"),
+    pytest.param('{"acts": [{"id": 7}]}', "id cannot be int", id="id-int"),
+    pytest.param('{"acts": []', "Expecting ',' delimiter", id="not-json"),
+    pytest.param('{"acts": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                 "maximum recursion depth exceeded", id="too-deep"),
+    pytest.param('{"acts": [{"id": "a", "family": "ZZ", "display_name": "A", '
+                 '"interpretation_eligible": false}]}', "unknown family 'ZZ'",
+                 id="unknown-family"),
+]
+
+
+@pytest.mark.parametrize("text, reason", BAD_ONTOLOGIES)
+def test_a_bad_ontology_names_the_file(tmp_path, text, reason):
+    traces = tmp_path / "traces.jsonl"
+    write_jsonl(traces, [trace_record("a1", "q1", ["action_AQ_assert_answer"])])
+    ontology = tmp_path / "ontology.json"
+    ontology.write_text(text)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ontology_path": "ontology.json"}))
+    result = invoke("model", "--in", str(traces), "--out", str(tmp_path / "model.json"),
+                    "--config", str(config))
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith(f"error: ontology {ontology.resolve()}: {reason}")
 
 
 # (command, changes to the second of three answers, what the error starts with)

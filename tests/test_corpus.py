@@ -5,7 +5,6 @@ import json
 import pytest
 
 from discotrace import (
-    FilterConfig,
     RawComment,
     RawPost,
     filter_comments,
@@ -59,16 +58,6 @@ def test_rejection_rules(title, score, profanity, rule):
     assert sum(others.values()) == 0
 
 
-def test_relationship_rule_reachable_with_custom_lists():
-    # Default relationship phrases all contain "my", so first_person fires
-    # first; emptying that list exposes the later rule.
-    config = FilterConfig(first_person=())
-    kept, tally = filter_posts(
-        [post("Why does my husband collect Roman coins?")], config)
-    assert kept == []
-    assert tally["relationship_term"] == 1
-
-
 def test_rules_apply_in_declared_order():
     # Fails both low_score and first_person; tallied under the earlier rule.
     kept, tally = filter_posts([post("Why do I sneeze so loudly?", score=1)])
@@ -99,28 +88,25 @@ def test_filtering_is_idempotent():
     assert sum(v for k, v in tally.items() if k != "missing_profanity_score") == 0
 
 
-# (post, config, the first rule it fails): one pair per rule in FILTER_RULES.
+# (post, the first rule it fails): one pair per rule in FILTER_RULES.
 FIRST_FAILURES = [
-    (post(""), FilterConfig(), "empty_title"),
-    (post(GOOD_TITLE, score=4), FilterConfig(), "low_score"),
-    (post("Why is that?"), FilterConfig(), "short_title"),
-    (post("The Roman Empire split in 285 AD."), FilterConfig(), "not_interrogative"),
-    (post("Which subreddit explains the Roman Empire best?"), FilterConfig(), "reddit_term"),
-    (post("Rome fell. Why did Byzantium survive?"), FilterConfig(), "multiple_questions"),
-    (post(GOOD_TITLE, profanity=0.95), FilterConfig(), "profanity"),
-    (post("Why do I sneeze when looking at the sun?"), FilterConfig(), "first_person"),
-    (post("Why does my husband collect Roman coins?"), FilterConfig(first_person=()),
-     "relationship_term"),
-    (post("Is this normal for a Roman legionary's diet?"), FilterConfig(),
-     "validation_seeking"),
+    (post(""), "empty_title"),
+    (post(GOOD_TITLE, score=4), "low_score"),
+    (post("Why is that?"), "short_title"),
+    (post("The Roman Empire split in 285 AD."), "not_interrogative"),
+    (post("Which subreddit explains the Roman Empire best?"), "reddit_term"),
+    (post("Rome fell. Why did Byzantium survive?"), "multiple_questions"),
+    (post(GOOD_TITLE, profanity=0.95), "profanity"),
+    (post("Why do I sneeze when looking at the sun?"), "first_person"),
+    (post("Is this normal for a Roman legionary's diet?"), "validation_seeking"),
 ]
 
 
 def test_every_rule_is_the_first_failure_of_some_post():
-    for p, config, rule in FIRST_FAILURES:
-        kept, tally = filter_posts([p], config)
+    for p, rule in FIRST_FAILURES:
+        kept, tally = filter_posts([p])
         assert kept == [] and tally[rule] == 1, rule
-    assert sorted(rule for _, _, rule in FIRST_FAILURES) == sorted(FILTER_RULES)
+    assert sorted(rule for _, rule in FIRST_FAILURES) == sorted(FILTER_RULES)
 
 
 def test_tally_contains_every_rule():
@@ -171,8 +157,6 @@ def test_unknown_community_without_default_max():
     p = post(GOOD_TITLE, community="somewhere_new", comments=comments([3] * 6))
     with pytest.raises(UnknownCommunity):
         filter_comments(p)
-    config = FilterConfig(default_max_comments=50)
-    assert filter_comments(p, config) is not None
 
 
 def test_sampling_deterministic():
@@ -294,8 +278,6 @@ def test_phrase_rules_match_whole_words_only(title):
 
 
 def test_phrase_rules_match_across_punctuation_and_spacing():
-    kept, tally = filter_posts([post("Why is this,  normal for Roman legionaries?"),
-                                post("Why does my ex-husband collect coins?")],
-                               FilterConfig(first_person=()))
+    kept, tally = filter_posts([post("Why is this,  normal for Roman legionaries?")])
     assert kept == []
-    assert tally["validation_seeking"] == 1 and tally["relationship_term"] == 1
+    assert tally["validation_seeking"] == 1

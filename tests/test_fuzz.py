@@ -1,9 +1,10 @@
 """Every subcommand, given a record with one field of the wrong shape, exits cleanly.
 
-One field of one record (or of the config file) at a time is set to each of
-``VALUES``; each input runs in-process through ``CliRunner``. Every run must end
-in ``SystemExit`` 0, 1 or 2; exit 2 only on a fixture miss; and every exit-1
-message must name the line, the record or the config file.
+One field of one record (or of the config, ontology or fixture file) at a time
+is set to each of ``VALUES``; each input runs in-process through ``CliRunner``.
+Every run must end in ``SystemExit`` 0, 1 or 2; exit 2 only on a fixture miss;
+and every exit-1 message must name the line, the record or the config file. An
+exit-1 message on a broken ontology or fixture must name that file.
 """
 
 import copy
@@ -228,4 +229,45 @@ def test_a_config_field_of_the_wrong_shape_never_ends_in_a_traceback(base, tmp_p
             problem = check(run(tmp_path, command), [str(config)])
             if problem:
                 broken.append(f"{path}={value!r}: {problem}")
+    assert not broken, "\n".join(broken)
+
+
+# Each file the config names, and the commands that read it.
+NAMED_FILES = {"ontology.json": ["trace", "metrics"], "fixture.jsonl": ["interp", "trace"]}
+
+
+def variants(name, text):
+    """``text`` of the file ``name`` with one field of the ontology's last act, or of the
+    fixture's first record, set to each of ``VALUES``."""
+    if name == "ontology.json":
+        doc = json.loads(text)
+        for path in field_paths(doc["acts"][-1], ("acts", len(doc["acts"]) - 1)):
+            for value in VALUES:
+                yield path, value, json.dumps(replaced(doc, path, value))
+    else:
+        first, *rest = text.splitlines(keepends=True)
+        record = json.loads(first)
+        for path in field_paths(record):
+            for value in VALUES:
+                yield path, value, json.dumps(replaced(record, path, value)) + "\n" + "".join(rest)
+
+
+@pytest.mark.parametrize("name", list(NAMED_FILES))
+def test_a_field_of_the_wrong_shape_in_a_named_file_never_ends_in_a_traceback(base, tmp_path,
+                                                                               name):
+    for other in ("fixture.jsonl", "ontology.json", "rules.md"):
+        (tmp_path / other).write_bytes((base / other).read_bytes())
+    write_inputs(tmp_path)
+    target = tmp_path / name
+    named = str(target.resolve())
+    broken = []
+    for path, value, text in variants(name, (base / name).read_text()):
+        target.write_text(text)
+        for command in NAMED_FILES[name]:
+            result = run(tmp_path, command)
+            problem = check(result, [named])
+            if not problem and result.exit_code == 1 and named not in result.stderr:
+                problem = f"exit 1 does not name {name}: {result.stderr!r}"
+            if problem:
+                broken.append(f"{command} {path}={value!r}: {problem}")
     assert not broken, "\n".join(broken)
