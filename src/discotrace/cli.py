@@ -27,8 +27,7 @@ import click
 from . import corpus as corpus_io
 from . import gateway
 from .config import PipelineConfig
-from .errors import AuthError, DiscoTraceError, FixtureMiss, TransportError
-from .gateway import complete
+from .errors import AuthError, FixtureMiss, TransportError, UnparsableResponse
 from .interpretations import InterpretationSpace, build_space
 from .ontology import load_ontology
 from .pipeline import DiscoTrace, pair_interpretations, tag_answer
@@ -44,7 +43,6 @@ from .stats import (
 )
 
 _BACKEND_ERRORS = (TransportError, AuthError, FixtureMiss)
-_INPUT_ERRORS = (OSError, KeyError, ValueError)
 
 
 class _ExitCodes(click.Group):
@@ -54,18 +52,12 @@ class _ExitCodes(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (DiscoTraceError, *_INPUT_ERRORS) as exc:
+        except corpus_io.INPUT_ERRORS as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2 if isinstance(exc, _BACKEND_ERRORS) else 1)
         except KeyboardInterrupt:
             click.echo("interrupted", err=True)
             sys.exit(130)
-
-
-def _load_config(path) -> PipelineConfig:
-    if path is None:
-        return PipelineConfig()
-    return PipelineConfig.from_file(path)
 
 
 def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> Iterator[dict]:
@@ -77,13 +69,13 @@ def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> Iterato
     the wire per endpoint, and a request that is backing off holds no slot, so the batch
     runs on twice as many workers as slots and one record's backoff leaves no slot idle.
     With none live it runs in the calling thread: a mock does no I/O to overlap.
-    ``out_path`` is opened after the input is read and before any record runs, so an
-    input error leaves it untouched and an unwritable one costs no work.
+    ``out_path`` is opened after the input is read and before any record runs, so a bad
+    input line leaves it untouched and an unwritable one costs no work.
 
-    An input error names its record, as ``noun`` and the record's ``id_key``, or its
-    1-based position when that is not a string; a backend error, including the outage
-    that ``in_flight`` raises when the batch's live calls all failed, passes unchanged
-    once the results are written."""
+    An input error while a record runs is the ``corpus.input_error`` of ``noun`` and the
+    record's ``id_key``, or its 1-based position when that is not a string; a backend error,
+    including the outage that ``in_flight`` raises when the batch's live calls all failed,
+    passes unchanged once the results are written."""
     records = corpus_io.read_corpus(in_path)
     positions = range(1, len(records) + 1)
 
@@ -92,11 +84,10 @@ def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> Iterato
             return run_one(record)
         except _BACKEND_ERRORS:
             raise
-        except (DiscoTraceError, *_INPUT_ERRORS) as exc:
+        except corpus_io.INPUT_ERRORS as exc:
             record_id = record.get(id_key)
             name = repr(record_id) if isinstance(record_id, str) else f"#{position}"
-            message = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-            raise ValueError(f"{noun} {name}: {message}") from exc
+            raise corpus_io.input_error(f"{noun} {name}", exc) from exc
 
     def results(slots):
         """Each record's result, in input order."""
@@ -168,7 +159,7 @@ def sample_cmd(in_path, out_path, n, seed):
 @click.option("--config", "config_path", default=None)
 def segment_cmd(in_path, out_path, config_path):
     """Split each answer's discourse tree into action segments."""
-    config = _load_config(config_path)
+    config = PipelineConfig.from_file(config_path)
 
     def run_one(record):
         tree = parse_rst_tree(record["rst_tree"])
@@ -189,7 +180,7 @@ def segment_cmd(in_path, out_path, config_path):
 @click.option("--config", "config_path", required=True)
 def interp_cmd(in_path, out_path, config_path):
     """Generate and deduplicate the interpretation space per question."""
-    config = _load_config(config_path)
+    config = PipelineConfig.from_file(config_path)
     if not config.interp_generators or config.embedder is None:
         raise ValueError(f"config {config_path}: must define interp_generators and embedder")
 
@@ -220,7 +211,7 @@ def interp_cmd(in_path, out_path, config_path):
 @click.option("--config", "config_path", required=True)
 def trace_cmd(in_path, questions_path, spaces_path, out_path, config_path):
     """Produce the full discourse trace for each answer."""
-    config = _load_config(config_path)
+    config = PipelineConfig.from_file(config_path)
     if config.act_labeler is None:
         raise ValueError(f"config {config_path}: must define act_labeler")
     ontology = load_ontology(config.ontology_path)
@@ -287,8 +278,8 @@ def _smoothing_from_flag(flag, config):
     if flag == "mle" or mode == "add_lambda":
         try:
             return Smoothing(mode=mode, lam=float(lam) if colon else 1.0)
-        except ValueError as exc:
-            raise ValueError(f"smoothing {flag!r}: {exc}") from exc
+        except corpus_io.INPUT_ERRORS as exc:
+            raise corpus_io.input_error(f"smoothing {flag!r}", exc) from exc
     raise ValueError(f"unknown smoothing {flag!r} (use 'mle' or 'add_lambda[:LAM]')")
 
 
@@ -300,7 +291,7 @@ def _smoothing_from_flag(flag, config):
 @click.option("--family-level", is_flag=True, default=False)
 def model_cmd(in_path, out_path, config_path, smoothing_flag, family_level):
     """Fit a bigram strategy model over act sequences."""
-    config = _load_config(config_path)
+    config = PipelineConfig.from_file(config_path)
     ontology = load_ontology(config.ontology_path)
     traces = corpus_io.read_corpus(in_path, view=_act_id_view(ontology))
     smoothing = _smoothing_from_flag(smoothing_flag, config)
@@ -328,7 +319,7 @@ def model_cmd(in_path, out_path, config_path, smoothing_flag, family_level):
 def compare_cmd(corpora, out_path, json_out, long_csv_out, config_path,
                 smoothing_flag, family_level):
     """Cross-perplexity matrix across trace corpora."""
-    config = _load_config(config_path)
+    config = PipelineConfig.from_file(config_path)
     ontology = load_ontology(config.ontology_path)
     smoothing = _smoothing_from_flag(smoothing_flag, config)
     view = _act_id_view(ontology)
@@ -361,7 +352,7 @@ def compare_cmd(corpora, out_path, json_out, long_csv_out, config_path,
 @click.option("--config", "config_path", default=None)
 def metrics_cmd(in_path, spaces_path, out_path, config_path):
     """Coverage, dedication, and unmatched-rate aggregates."""
-    config = _load_config(config_path)
+    config = PipelineConfig.from_file(config_path)
     ontology = load_ontology(config.ontology_path)
     traces = corpus_io.read_corpus(in_path, view=_act_id_view(ontology, DiscoTrace.from_dict))
     spaces = _read_spaces(spaces_path)
@@ -383,6 +374,12 @@ def metrics_cmd(in_path, spaces_path, out_path, config_path):
     click.echo(f"computed metrics for {len(traces)} traces")
 
 
+def _nonempty_text(reply: str) -> str:
+    if not reply.strip():
+        raise UnparsableResponse("the reply is empty")
+    return reply
+
+
 @main.command("mimic-answer")
 @click.option("--in", "in_path", required=True, help="Questions JSONL.")
 @click.option("--out", "out_path", required=True, help="Generated answers JSONL.")
@@ -394,7 +391,7 @@ def metrics_cmd(in_path, spaces_path, out_path, config_path):
 def mimic_cmd(in_path, out_path, config_path, subreddit, explanation,
               guidelines_file, max_tokens):
     """Generate answers as a member of a community, via its guidelines."""
-    config = _load_config(config_path)
+    config = PipelineConfig.from_file(config_path)
     backend = config.answer_generator
     if backend is None:
         raise ValueError(f"config {config_path}: must define answer_generator")
@@ -409,11 +406,10 @@ def mimic_cmd(in_path, out_path, config_path, subreddit, explanation,
             model_name=backend.model,
             max_tokens=max_tokens,
         )
-        return {
-            "question_id": record["post_id"],
-            "answer_text": complete(backend, request),
-            "generator": backend.name,
-        }
+        text, failure = gateway.ask(backend, request, _nonempty_text)
+        if failure is not None:
+            raise TransportError(failure[1])
+        return {"question_id": record["post_id"], "answer_text": text, "generator": backend.name}
 
     count = sum(1 for _ in _run_batch(in_path, out_path, run_one, "question", "post_id",
                                       [backend]))

@@ -8,7 +8,7 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
-from .corpus import of_type, read_fields
+from .corpus import INPUT_ERRORS, input_error, of_type, read_fields
 from .gateway import BackendSpec
 from .interpretations import DEFAULT_DEDUP_THRESHOLD
 from .segmentation import BoundaryConfig
@@ -50,8 +50,8 @@ class PipelineConfig:
             value = of_type(key, value, kind)
             try:
                 return build(value)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{key}: {exc}") from exc
+            except INPUT_ERRORS as exc:
+                raise input_error(key, exc) from exc
 
         def ontology_at(path):
             if base_dir is not None:
@@ -81,12 +81,15 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        """Read a config file; an error in its content is a ``ValueError`` naming the file."""
+        """Read a config file, or the defaults when ``path`` is None; an error in it is the
+        ``corpus.input_error`` of ``config <path>``."""
+        if path is None:
+            return cls()
         path = Path(path)
         try:
             doc = json.loads(path.read_text())
             if not isinstance(doc, dict):
                 raise ValueError("expected a JSON object")
             return cls.from_dict(doc, base_dir=path.parent)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise ValueError(f"config {path}: {exc}") from exc
+        except INPUT_ERRORS as exc:
+            raise input_error(f"config {path}", exc) from exc

@@ -15,14 +15,13 @@ import json
 import random
 import re
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .errors import (
+    DiscoTraceError,
     InsufficientPosts,
     MalformedLine,
     SchemaVersionMismatch,
-    UnknownActId,
     UnknownCommunity,
 )
 
@@ -54,13 +53,13 @@ MAX_COMMENTS = {
 }
 
 
-def typed(doc: dict, key: str, kind, *default):
-    """``doc[key]``, or ``default`` when given and the key is absent, read by :func:`of_type`;
-    a null passes where that default is None. A TypeError names the key, and ``read_corpus``
-    reports it with its line."""
-    value = doc.get(key, *default) if default else doc[key]
-    if value is None and default == (None,):
-        return None
+def typed(doc: dict, key: str, kind, default=KeyError):
+    """``doc[key]``, or ``default`` when one is given and the key is absent, read by
+    :func:`of_type`; a null passes where that default is None. A TypeError names the key, and
+    ``read_lines`` reports it with its line."""
+    value = doc[key] if default is KeyError else doc.get(key, default)
+    if type(value) is kind or value is None and default is None:
+        return value
     return of_type(key, value, kind)
 
 
@@ -224,10 +223,46 @@ def sample_questions(posts: list, n: int, seed: int) -> list:
     return random.Random(seed).sample(posts, n)
 
 
+#: What a bad input raises as it is read or run; JSON nested too deep is a RecursionError.
+INPUT_ERRORS = (DiscoTraceError, OSError, KeyError, TypeError, ValueError, RecursionError,
+                OverflowError)
+
+
+def input_error(where, exc: BaseException, line=None) -> Exception:
+    """``ValueError("<where>: <reason>")`` for ``exc``, a KeyError's reason naming the field it
+    misses; at a ``line``, a ``MalformedLine`` (or ``SchemaVersionMismatch``) of
+    ``<where>: line N: <reason>``."""
+    reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+    if line is None:
+        return ValueError(f"{where}: {reason}")
+    kind = SchemaVersionMismatch if isinstance(exc, SchemaVersionMismatch) else MalformedLine
+    return kind(line, f"{where}: line {line}: {reason}")
+
+
+def read_lines(handle, where, view=None):
+    """Yield ``view`` of each JSON object of this ``SCHEMA_VERSION`` on the JSONL text ``handle``,
+    skipping blank lines; an error raises its :func:`input_error` at its line of ``where``."""
+    try:
+        for number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            record = json.loads(line)
+            if type(record) is not dict:
+                raise TypeError(f"a record cannot be {type(record).__name__}")
+            version = record.get("schema_version", SCHEMA_VERSION)
+            if version != SCHEMA_VERSION:
+                raise SchemaVersionMismatch(number, f"schema_version {version} != {SCHEMA_VERSION}")
+            yield record if view is None else view(record)
+    except INPUT_ERRORS as exc:
+        if isinstance(exc, (OSError, UnicodeDecodeError)):  # reading ahead, not of a line
+            number = None
+        raise input_error(where, exc, number) from exc
+
+
 def read_corpus(path, view=None) -> list:
-    """Read a JSONL corpus; unknown fields are preserved verbatim. ``view``
-    maps each record as it is read, so only what it keeps stays in memory;
-    a record it cannot read raises ``MalformedLine`` with the line's number.
+    """Read a JSONL corpus by :func:`read_lines`, as its path; unknown fields are preserved
+    verbatim. ``view`` maps each record as it is read, so only what it keeps stays in
+    memory; a line that cannot be read raises ``MalformedLine`` naming the path and line.
 
     The cyclic GC is paused meanwhile, and a read that succeeds ends with
     ``gc.freeze()``: every object the process holds then, the records among
@@ -235,35 +270,11 @@ def read_corpus(path, view=None) -> list:
     walk. Parsed JSON cannot form cycles, and a frozen object is still freed
     by reference counting when its last reference goes; only cyclic garbage
     made before the freeze would stay until ``gc.unfreeze()``."""
-    records = []
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         with open(path, encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except (json.JSONDecodeError, RecursionError) as exc:
-                    # The decoder recurses per nesting level, so a deep enough
-                    # document raises RecursionError rather than a decode error.
-                    raise MalformedLine(number, str(exc)) from exc
-                if not isinstance(record, dict):
-                    raise MalformedLine(number, "record is not a JSON object")
-                version = record.get("schema_version", SCHEMA_VERSION)
-                if version != SCHEMA_VERSION:
-                    raise SchemaVersionMismatch(
-                        f"line {number}: schema_version {version} != {SCHEMA_VERSION}"
-                    )
-                if view is not None:
-                    try:
-                        record = view(record)
-                    except (KeyError, TypeError, ValueError, UnknownActId) as exc:
-                        message = (f"missing field {exc}" if isinstance(exc, KeyError)
-                                   else f"unreadable record ({type(exc).__name__}: {exc})")
-                        raise MalformedLine(number, message) from exc
-                records.append(record)
+            records = list(read_lines(handle, path, view))
         gc.freeze()
     finally:
         if was_enabled:

@@ -129,11 +129,11 @@ class InsufficientPosts(DiscoTraceError):
     pass
 
 
-class SchemaVersionMismatch(DiscoTraceError):
-    pass
-
-
 class MalformedLine(DiscoTraceError):
     def __init__(self, line_number, message):
-        super().__init__(f"line {line_number}: {message}")
+        super().__init__(message)
         self.line_number = line_number
+
+
+class SchemaVersionMismatch(MalformedLine):
+    pass

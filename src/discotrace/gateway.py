@@ -9,7 +9,7 @@ that fails to parse. Inside :func:`in_flight`, a
 live request holds one of its endpoint's slots only while it is on the wire,
 never while it backs off or is asked again, and a block whose live requests all
 failed raises ``TransportError`` as it exits. :func:`ask` judges every
-chat reply the pipeline reads: tags, interpretations and pairings. Mock
+chat reply read: tags, interpretations, pairings and mimic answers. Mock
 backends replay recorded fixtures: JSONL lines of
 ``{"request_digest": ..., "response_text": ...}`` keyed by a SHA-256
 digest of the request's canonical JSON, so replays are deterministic and
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 from urllib.parse import urlsplit
 
-from .corpus import of_type, read_fields, typed
+from .corpus import INPUT_ERRORS, input_error, read_fields, read_lines, typed
 from .errors import (
     AuthError, EmbeddingDimensionMismatch, FixtureMiss, TransportError, UnparsableResponse,
 )
@@ -128,9 +128,9 @@ def load_fixture(path: str) -> dict[str, str]:
     """Load (and cache by the path as given, until its mtime changes) a
     fixture file mapping digest -> response text. Threads that miss the
     cache together read the file once. Each read also drops the cached
-    files that no longer exist, and checks each record once: a line that is
-    not a JSON object with a text ``request_digest`` and ``response_text``
-    raises ``ValueError`` naming the file and the line."""
+    files that no longer exist, and reads the file by ``corpus.read_lines``
+    as ``fixture <path>``: each line a JSON object with a text
+    ``request_digest`` and ``response_text``."""
     key = os.fspath(path)
     mtime = os.path.getmtime(key)
     cached = _fixture_cache.get(key)
@@ -146,18 +146,9 @@ def load_fixture(path: str) -> dict[str, str]:
 
 
 def _read_fixture(path: str) -> dict[str, str]:
-    entries = {}
     with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = of_type("a fixture record", json.loads(line), dict)
-                entries[typed(record, "request_digest", str)] = typed(record, "response_text", str)
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                message = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-                raise ValueError(f"fixture {path}: line {number}: {message}") from exc
-    return entries
+        return dict(read_lines(handle, f"fixture {path}", lambda record: (
+            typed(record, "request_digest", str), typed(record, "response_text", str))))
 
 
 def append_fixture(path: str, digest: str, response_text: str) -> None:
@@ -365,7 +356,10 @@ def embed(backend: BackendSpec, texts: list[str]) -> list[list[float]]:
             digest = text_digest(backend.model, text)
             if digest not in entries:
                 raise FixtureMiss(digest)
-            vectors.append(json.loads(entries[digest]))
+            try:
+                vectors.append(json.loads(entries[digest]))
+            except INPUT_ERRORS as exc:
+                raise input_error(f"fixture {backend.fixture_path}: digest {digest}", exc) from exc
     else:
         payload = _post_with_retries(backend, {"model": backend.model, "input": texts})
         try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Union
 
 from . import gateway
-from .corpus import typed
+from .corpus import of_type, typed
 from .errors import EmbeddingDimensionMismatch, TransportError, UnparsableResponse
 from .gateway import BackendSpec
 from .prompts import build_interp_gen_prompt, parse_interp_list
@@ -57,11 +57,12 @@ class InterpretationSpace:
     def from_dict(cls, doc: dict) -> "InterpretationSpace":
         return cls(
             question_id=typed(doc, "question_id", str),
-            dedup_threshold=doc.get("threshold", DEFAULT_DEDUP_THRESHOLD),
+            dedup_threshold=typed(doc, "threshold", float, DEFAULT_DEDUP_THRESHOLD),
             members=[
                 Interpretation(id=typed(m, "id", str), text=typed(m, "text", str),
-                               sources=set(m.get("sources", [])))
-                for m in doc.get("members", [])
+                               sources={of_type("a source", s, str)
+                                        for s in typed(m, "sources", list, [])})
+                for m in typed(doc, "members", list, [])
             ],
         )
 

@@ -16,9 +16,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
 
-from .corpus import of_type, typed
+from .corpus import INPUT_ERRORS, input_error, of_type, typed
 from .errors import (
-    DiscoTraceError,
     DuplicateActId,
     MissingNoneSentinel,
     UnknownActId,
@@ -82,19 +81,17 @@ def load_ontology(source: Union[str, Path, dict, None] = None) -> Ontology:
     With no argument, loads the ontology shipped with the package. Each act's
     ``id``, ``display_name`` and ``description`` are text, its ``family`` text or
     null, and ``interpretation_eligible`` a boolean. A file that is not such an
-    ontology raises ``ValueError`` naming it: ``ontology <path>: ...``.
+    ontology raises the ``corpus.input_error`` of ``ontology <path>``.
     """
     if source is None:
         return _ontology_of(json.loads(
             resources.files("discotrace.data").joinpath("default_ontology.json").read_text()))
     if isinstance(source, dict):
         return _ontology_of(source)
-    text = Path(source).read_text()
     try:
-        return _ontology_of(json.loads(text))
-    except (DiscoTraceError, KeyError, TypeError, ValueError, RecursionError) as exc:
-        message = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"ontology {source}: {message}") from exc
+        return _ontology_of(json.loads(Path(source).read_text()))
+    except INPUT_ERRORS as exc:
+        raise input_error(f"ontology {source}", exc) from exc
 
 
 def _ontology_of(doc: dict) -> Ontology:

@@ -70,16 +70,13 @@ class DiscoTrace:
     @classmethod
     def from_dict(cls, doc: dict) -> "DiscoTrace":
         """A trace from its JSON object; a field of the wrong type raises ``TypeError``
-        naming it, which ``read_corpus`` reports with its line."""
+        naming it, which ``read_lines`` reports with its line."""
         answer_id, question_id = typed(doc, "answer_id", str), typed(doc, "question_id", str, "")
         steps = []
         for step in doc.get("steps", ()):
             act_id = step["act_id"]  # first, so that a step that is no object is a TypeError
             edu_indices = tuple(step.get("edu_indices", ()))
-            interpretation_id = step.get("interpretation_id")
-            if interpretation_id is not None and not isinstance(interpretation_id, str):
-                raise TypeError(
-                    f"interpretation_id cannot be {type(interpretation_id).__name__}")
+            interpretation_id = typed(step, "interpretation_id", str, None)
             steps.append(TraceStep(act_id, edu_indices, interpretation_id))
         return cls(answer_id, question_id, steps, list(doc.get("diagnostics", ())))
 

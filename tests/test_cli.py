@@ -300,7 +300,7 @@ def test_trace_question_without_title_fails_before_any_call(tmp_path, monkeypatc
     result = invoke("trace", "--in", str(answers), "--questions", str(questions),
                     "--out", str(out), "--config", str(config_path))
     assert result.exit_code == 1, result.output
-    assert result.stderr == "error: line 2: missing field 'title'\n"
+    assert result.stderr == f"error: {questions}: line 2: missing field 'title'\n"
     assert complete_calls == []
     assert out.read_text() == "kept\n"
 
@@ -343,7 +343,7 @@ def test_too_deep_tree_line_exit_1(tmp_path, command):
              "--config", str(config_path)] if command == "trace" else []
     result = invoke(command, "--in", str(answers), "--out", str(tmp_path / "o.jsonl"), *extra)
     assert result.exit_code == 1, result.output
-    assert result.stderr.startswith("error: line 2: ")
+    assert result.stderr.startswith(f"error: {answers}: line 2: ")
     assert "Traceback" not in result.output
 
 
@@ -384,6 +384,8 @@ BAD_FIELDS = [
     ("filter", "raw", "comments", [{"comment_id": "c0", "text": "t", "score": 2.5}]),
     ("filter", "raw", "comments", [{"comment_id": 7, "text": "t", "score": 3}]),
     ("filter", "raw", "comments", [{"comment_id": "c0", "text": 7, "score": 3}]),
+    ("metrics", "spaces", "threshold", "hi"),
+    ("metrics", "spaces", "members", [{"id": "id_1", "text": "t", "sources": "abc"}]),
 ]
 
 
@@ -411,7 +413,7 @@ def test_a_field_of_the_wrong_type_names_its_record(tmp_path, command, role, key
     assert isinstance(result.exception, SystemExit), result.exc_info
     assert result.exit_code == 1, result.output
     assert "Traceback" not in result.output
-    named = "error: answer 'a2': " if role == "answers" else "error: line 2: "
+    named = "error: answer 'a2': " if role == "answers" else f"error: {path}: line 2: "
     assert result.stderr.startswith(named), result.stderr
 
 
@@ -419,7 +421,7 @@ def test_a_field_of_the_wrong_type_names_its_record(tmp_path, command, role, key
 BAD_FIXTURE_LINES = [
     ("not json", "Expecting value"),
     ('{"response_text": "r"}', "missing field 'request_digest'"),
-    ('["d", "r"]', "a fixture record cannot be list"),
+    ('["d", "r"]', "a record cannot be list"),
     ('{"request_digest": "d", "response_text": 7}', "response_text cannot be int"),
 ]
 
@@ -1048,7 +1050,7 @@ def test_unreadable_trace_record_exit_1(tmp_path, command, bad_steps):
     extra = ["--spaces", str(spaces_path)] if command == "metrics" else []
     result = invoke(command, *source, "--out", str(tmp_path / "o.json"), *extra)
     assert result.exit_code == 1, result.output
-    assert result.stderr.startswith("error: line 2")
+    assert result.stderr.startswith(f"error: {src}: line 2: ")
 
 
 def test_mimic_command(tmp_path):
@@ -1177,8 +1179,19 @@ def test_unknown_act_id_names_its_line(tmp_path, command, flags):
     extra = ["--spaces", str(spaces_path)] if command == "metrics" else []
     result = invoke(command, *source, "--out", str(tmp_path / "o.json"), *extra, *flags)
     assert result.exit_code == 1, result.output
-    assert result.stderr.startswith("error: line 2: ")
+    assert result.stderr.startswith(f"error: {src}: line 2: ")
     assert "unknown act id 'foo'" in result.stderr
+
+
+def test_compare_names_the_corpus_whose_line_is_bad(tmp_path):
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    write_jsonl(good, [trace_record("a1", "q1", ["action_AQ_assert_answer"])])
+    write_jsonl(bad, [trace_record("a1", "q1", ["action_AQ_assert_answer"]),
+                      trace_record("a2", "q1", ["bogus"])])
+    result = invoke("compare", "--corpora", f"x={good}", "--corpora", f"y={bad}",
+                    "--out", str(tmp_path / "m.csv"))
+    assert result.exit_code == 1, result.output
+    assert result.stderr == f"error: {bad}: line 2: unknown act id 'bogus'\n"
 
 
 def record_trace_fixture(fixture, answers, space):
@@ -1267,6 +1280,38 @@ def test_mimic_failure_keeps_the_finished_answers(tmp_path):
     lines = full.read_text().splitlines(keepends=True)
     assert len(lines) == 3
     assert partial.read_text() == "".join(lines[:2])
+
+
+def test_an_empty_mimic_reply_exits_2_and_keeps_the_finished_answers(tmp_path):
+    titles = ["Why is the sky blue?", "Why is grass green?"]
+    fixture = tmp_path / "gen.jsonl"
+    for title, reply in zip(titles, ["Because of scattering.", ""]):
+        request = build_mimic_prompt(question=title, subreddit_name="s",
+                                     subreddit_explanation="e", guidelines="Be thorough.",
+                                     model_name="m", max_tokens=1000)
+        append_fixture(fixture, request_digest(request), reply)
+    run = mimic_inputs(tmp_path, titles, {"kind": "mock", "fixture_path": "gen.jsonl"})
+    out = tmp_path / "answers.jsonl"
+    result = run(out)
+    assert result.exit_code == 2, result.output
+    assert result.stderr == "error: the reply is empty\n"
+    assert [json.loads(line)["question_id"] for line in out.read_text().splitlines()] == ["q0"]
+
+
+def test_an_empty_live_mimic_reply_is_asked_again(tmp_path):
+    replies = ["", "Because of scattering."]
+
+    def respond(body):
+        return 200, {"choices": [{"message": {"content": replies.pop(0)}}]}
+
+    with http_stub(respond) as (endpoint, stats):
+        run = mimic_inputs(tmp_path, ["Why is the sky blue?"],
+                           {"kind": "live", "endpoint": endpoint})
+        out = tmp_path / "answers.jsonl"
+        result = run(out)
+    assert result.exit_code == 0, result.output
+    assert stats.posts == 2
+    assert json.loads(out.read_text())["answer_text"] == "Because of scattering."
 
 
 @pytest.mark.parametrize("title", [None, 7, "  "])
@@ -1411,6 +1456,8 @@ BAD_CONFIGS = [
     ({"ontology_path": "."}, "ontology_path: '{dir}' is not a file\n"),
     ({"smoothing": {"lambda": 10 ** 400}}, "smoothing: lambda is too large for a float\n"),
     ({"dedup_threshold": 10 ** 400}, "dedup_threshold is too large for a float\n"),
+    pytest.param('{"boundary": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                 "maximum recursion depth exceeded", id="too-deep"),
 ]
 
 
@@ -1439,7 +1486,7 @@ def test_a_missing_field_is_named(tmp_path):
                       {"answer_id": "a2", "steps": [{"edu_indices": [0]}]}])
     result = invoke("model", "--in", str(src), "--out", str(tmp_path / "m.json"))
     assert result.exit_code == 1, result.output
-    assert result.stderr == "error: line 2: missing field 'act_id'\n"
+    assert result.stderr == f"error: {src}: line 2: missing field 'act_id'\n"
 
 
 def test_interp_stops_on_a_generator_fixture_miss(tmp_path):

@@ -4,7 +4,8 @@ One field of one record (or of the config, ontology or fixture file) at a time
 is set to each of ``VALUES``; each input runs in-process through ``CliRunner``.
 Every run must end in ``SystemExit`` 0, 1 or 2; exit 2 only on a fixture miss;
 and every exit-1 message must name the line, the record or the config file. An
-exit-1 message on a broken ontology or fixture must name that file.
+exit-1 message that names a line, or one on a broken ontology or fixture, must name
+the file that was changed.
 """
 
 import copy
@@ -178,7 +179,6 @@ def base(tmp_path_factory):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gateway, "complete", recording_complete)
-        patch.setattr("discotrace.cli.complete", recording_complete)
         patch.setattr(gateway, "embed", recording_embed)
         for command in COMMANDS:
             result = run(directory, command)
@@ -186,8 +186,10 @@ def base(tmp_path_factory):
     return directory
 
 
-def check(result, names):
-    """Why this run breaks the contract, or None when it keeps it."""
+def check(result, names, path):
+    """Why this run breaks the contract, or None when it keeps it; ``path`` is the file
+    that was changed, which an exit-1 message that names a line of a file ("line N: ", not
+    the "line 1 column 5" of a field's JSON text) must name too."""
     if not isinstance(result.exception, (SystemExit, type(None))):
         return f"uncaught {result.exception!r}"
     if result.exit_code not in (0, 1, 2):
@@ -197,6 +199,9 @@ def check(result, names):
     if result.exit_code == 1 and not (re.search(r"\bline \d+\b", result.stderr)
                                       or any(name in result.stderr for name in names)):
         return f"exit 1 names no line, record or config: {result.stderr!r}"
+    if (result.exit_code == 1 and re.search(r"\bline \d+: ", result.stderr)
+            and path not in result.stderr):
+        return f"exit 1 names a line but not {path}: {result.stderr!r}"
     return None
 
 
@@ -210,7 +215,7 @@ def test_a_field_of_the_wrong_shape_never_ends_in_a_traceback(base, tmp_path, co
     for path in field_paths(last):
         for value in VALUES:
             write_inputs(tmp_path, **{role: [*kept, replaced(last, path, value)]})
-            problem = check(run(tmp_path, command), names)
+            problem = check(run(tmp_path, command), names, str(tmp_path / f"{role}.jsonl"))
             if problem:
                 broken.append(f"{path}={value!r}: {problem}")
     assert not broken, "\n".join(broken)
@@ -226,7 +231,7 @@ def test_a_config_field_of_the_wrong_shape_never_ends_in_a_traceback(base, tmp_p
     for path in [(key,), *field_paths(CONFIG[key], (key,))]:
         for value in VALUES:
             write_inputs(tmp_path, config=replaced(CONFIG, path, value))
-            problem = check(run(tmp_path, command), [str(config)])
+            problem = check(run(tmp_path, command), [str(config)], str(config))
             if problem:
                 broken.append(f"{path}={value!r}: {problem}")
     assert not broken, "\n".join(broken)
@@ -265,7 +270,7 @@ def test_a_field_of_the_wrong_shape_in_a_named_file_never_ends_in_a_traceback(ba
         target.write_text(text)
         for command in NAMED_FILES[name]:
             result = run(tmp_path, command)
-            problem = check(result, [named])
+            problem = check(result, [named], named)
             if not problem and result.exit_code == 1 and named not in result.stderr:
                 problem = f"exit 1 does not name {name}: {result.stderr!r}"
             if problem:

@@ -583,6 +583,16 @@ def test_live_embedding_reply_of_the_wrong_shape_is_a_transport_error(stub_serve
         embed(backend, ["x"])
 
 
+def test_a_mock_embedding_that_is_not_json_names_the_fixture_and_the_digest(tmp_path):
+    fixture = tmp_path / "embed.jsonl"
+    digest = text_digest("emb", "x")
+    append_fixture(fixture, digest, "not json")
+    backend = BackendSpec(kind="mock", model="emb", fixture_path=str(fixture))
+    with pytest.raises(ValueError) as exc:
+        embed(backend, ["x"])
+    assert str(exc.value).startswith(f"fixture {fixture}: digest {digest}: Expecting value")
+
+
 def test_mock_embedding_that_is_not_a_vector_is_a_transport_error(tmp_path):
     fixture = tmp_path / "embed.jsonl"
     append_fixture(fixture, text_digest("emb", "x"), json.dumps({"v": 1}))

@@ -300,8 +300,9 @@ def test_from_dict_rejects_a_step_that_is_no_object(tmp_path, step):
         DiscoTrace.from_dict(doc)
     path = tmp_path / "traces.jsonl"
     path.write_text(json.dumps(doc) + "\n")
-    with pytest.raises(MalformedLine, match="^line 1: unreadable record \\(TypeError"):
+    with pytest.raises(MalformedLine, match=f"^{re.escape(str(path))}: line 1: ") as exc:
         read_corpus(path, view=DiscoTrace.from_dict)
+    assert isinstance(exc.value.__cause__, TypeError)
 
 
 @pytest.mark.parametrize("value, kind", [(7, "int"), (["id_1"], "list"), (False, "bool")])
