@@ -72,22 +72,23 @@ def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> Iterato
     ``out_path`` is opened after the input is read and before any record runs, so a bad
     input line leaves it untouched and an unwritable one costs no work.
 
-    An input error while a record runs is the ``corpus.input_error`` of ``noun`` and the
-    record's ``id_key``, or its 1-based position when that is not a string; a backend error,
-    including the outage that ``in_flight`` raises when the batch's live calls all failed,
-    passes unchanged once the results are written."""
+    An error while a record runs names the record, ``<noun> <name>: <reason>``, where the
+    name is the record's ``id_key``, or its 1-based position when that is not a string: an
+    input error as its ``corpus.input_error``, a backend error keeping its type. The outage
+    that ``in_flight`` raises when the batch's live calls all failed names no record."""
     records = corpus_io.read_corpus(in_path)
     positions = range(1, len(records) + 1)
 
     def run_named(record, position):
         try:
             return run_one(record)
-        except _BACKEND_ERRORS:
-            raise
         except corpus_io.INPUT_ERRORS as exc:
             record_id = record.get(id_key)
-            name = repr(record_id) if isinstance(record_id, str) else f"#{position}"
-            raise corpus_io.input_error(f"{noun} {name}", exc) from exc
+            where = f"{noun} {record_id!r}" if isinstance(record_id, str) else f"{noun} #{position}"
+            if isinstance(exc, _BACKEND_ERRORS):
+                exc.args = (f"{where}: {exc}",)  # keeps the type, exit 2, and a miss's digest
+                raise
+            raise corpus_io.input_error(where, exc) from exc
 
     def results(slots):
         """Each record's result, in input order."""
@@ -359,7 +360,7 @@ def metrics_cmd(in_path, spaces_path, out_path, config_path):
     report = interpretation_metrics(traces, spaces, ontology)
     coverages = list(report.coverage.values())
     dedications = list(report.dedication.values())
-    Path(out_path).write_text(json.dumps({
+    Path(out_path).write_text(_two_level_json({
         "unmatched_rate": report.unmatched_rate,
         "coverage_mean": sum(coverages) / len(coverages) if coverages else None,
         "dedication_mean": sum(dedications) / len(dedications) if dedications else None,
@@ -370,8 +371,20 @@ def metrics_cmd(in_path, spaces_path, out_path, config_path):
             f"{aid}:{iid}": value
             for (aid, iid), value in report.dedication.items()
         },
-    }, indent=2))
+    }))
     click.echo(f"computed metrics for {len(traces)} traces")
+
+
+def _two_level_json(doc: dict) -> str:
+    """``json.dumps(doc, indent=2)`` for a non-empty dict whose values are scalars or dicts
+    of scalars, with each inner dict written by json's C encoder: ``indent`` selects the
+    Python one, twice as slow on a large report."""
+    def value(v):
+        if not isinstance(v, dict) or not v:
+            return json.dumps(v)
+        return "{\n    " + json.dumps(v, separators=(",\n    ", ": "))[1:-1] + "\n  }"
+
+    return "{\n  " + ",\n  ".join(f"{json.dumps(k)}: {value(v)}" for k, v in doc.items()) + "\n}"
 
 
 def _nonempty_text(reply: str) -> str:

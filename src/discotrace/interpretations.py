@@ -4,22 +4,23 @@ Raw interpretations are pooled across one or more generator backends
 (config order, then generation order) and greedily clustered: a candidate
 joins the first existing member whose embedding cosine similarity meets
 the threshold, merging source sets, else it opens a new member. Ids are
-assigned in member-creation order ("id_1", "id_2", ...).
+assigned in member-creation order ("id_1", "id_2", ...). The cosine comes
+from the law of cosines, (|a|² + |b|² − |a−b|²) / (2|a||b|), over the
+vectors' norms (``math.hypot``) and distance (``math.dist``), so no vector
+is normalised and no matrix is built; a zero vector is similar to nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Union
+from typing import Callable, Union
 
 from . import gateway
 from .corpus import of_type, typed
 from .errors import EmbeddingDimensionMismatch, TransportError, UnparsableResponse
 from .gateway import BackendSpec
 from .prompts import build_interp_gen_prompt, parse_interp_list
-
-if TYPE_CHECKING:  # numpy is imported by deduplicate, the one function that computes with it
-    import numpy as np
 
 DEFAULT_DEDUP_THRESHOLD = 0.85
 
@@ -100,15 +101,33 @@ def generate_raw(
 EmbedFn = Callable[[list[str]], list[list[float]]]
 
 
+def _cosine(a, a_norm: float, b, b_norm: float) -> float:
+    """The law of cosines over |a|, |b| and |a−b|, divided through by |a||b|; 0.0 when
+    either vector is zero."""
+    if not (a_norm and b_norm):
+        return 0.0
+    d = math.dist(a, b)
+    return (a_norm / b_norm + b_norm / a_norm - (d / a_norm) * (d / b_norm)) / 2
+
+
 def deduplicate(
     raw: list[tuple[str, str]],
     embedder: Union[BackendSpec, EmbedFn],
     threshold: float = DEFAULT_DEDUP_THRESHOLD,
     question_id: str = "",
 ) -> InterpretationSpace:
-    """Greedy first-representative clustering of pooled interpretations."""
-    import numpy as np
+    """Greedy first-representative clustering of pooled interpretations.
 
+    Each candidate joins the first member whose representative, the embedding of the
+    member's first text, has cosine similarity at least ``threshold`` with its own
+    embedding; else it opens a new member. The cosine of ``a`` and ``b`` is the law of
+    cosines, (|a|² + |b|² − |a−b|²) / (2|a||b|), divided through by |a||b| so that no
+    square overflows or underflows: one ``math.hypot`` per vector and one ``math.dist``
+    per comparison. It agrees with the dot product of the unit vectors to about 1e-15
+    for vectors of like norm, and is exactly 1.0 for identical vectors. A zero vector is
+    similar to nothing, so it never merges. Embeddings that are not one number vector
+    per text, all of one length, raise ``EmbeddingDimensionMismatch``.
+    """
     if not 0 < threshold <= 1:
         raise ValueError("threshold must be in (0, 1]")
     space = InterpretationSpace(question_id=question_id, dedup_threshold=threshold)
@@ -120,24 +139,25 @@ def deduplicate(
         vectors = gateway.embed(embedder, texts)
     else:
         vectors = embedder(texts)
-    matrix = np.asarray(vectors, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != len(texts):
+    try:
+        vectors = [tuple(v) for v in vectors]  # math.dist would copy a list on every call
+        norms = [math.hypot(*v) for v in vectors]
+    except TypeError as exc:
+        raise EmbeddingDimensionMismatch(f"embedder returned a non-vector: {exc}") from exc
+    if len(vectors) != len(texts) or len({len(v) for v in vectors}) > 1:
         raise EmbeddingDimensionMismatch("embedder returned a ragged or misshaped array")
-    norms = np.linalg.norm(matrix, axis=1)
-    norms[norms == 0] = 1.0
-    unit = matrix / norms[:, None]
 
-    representatives: list[np.ndarray] = []
-    for (source, text), vector in zip(raw, unit):
+    representatives: list[tuple[tuple, float]] = []
+    for (source, text), vector, norm in zip(raw, vectors, norms):
         member = None
-        for existing, rep in zip(space.members, representatives):
-            if float(vector @ rep) >= threshold:
+        for existing, (rep, rep_norm) in zip(space.members, representatives):
+            if _cosine(vector, norm, rep, rep_norm) >= threshold:
                 member = existing
                 break
         if member is None:
             member = Interpretation(id=f"id_{len(space.members) + 1}", text=text)
             space.members.append(member)
-            representatives.append(vector)
+            representatives.append((vector, norm))
         member.sources.add(source)
     return space
 

@@ -354,7 +354,7 @@ def test_trace_command_fixture_miss_exit_2(tmp_path):
     result = invoke("trace", "--in", str(answers), "--questions", str(questions),
                     "--out", str(out), "--config", str(config_path))
     assert result.exit_code == 2
-    assert result.stderr.startswith("error: no fixture entry for request digest ")
+    assert result.stderr.startswith("error: answer 'a1': no fixture entry for request digest ")
 
 
 # (command, input file, field, value): the second record of the file gets the value.
@@ -971,6 +971,18 @@ def test_metrics_json_keeps_its_bytes(tmp_path):
 }"""
 
 
+@pytest.mark.parametrize("doc", [
+    {"unmatched_rate": 0.0, "coverage_mean": None, "dedication_mean": None, "coverage": {},
+     "matched_per_answer": {}, "eligible_per_answer": {}, "dedication": {}},
+    {"unmatched_rate": 1.0, "coverage_mean": 0.1, "dedication_mean": None,
+     "coverage": {"é\"a": 0.5, "中": 1e-20, "\\\n": 3},
+     "dedication": {"a\"1:id_1": 0.25, "ü:id_2": None}},
+    {"coverage": {"only": 1}, "x": {}},
+])
+def test_the_metrics_writer_equals_json_indent_2(doc):
+    assert cli._two_level_json(doc) == json.dumps(doc, indent=2)
+
+
 def test_analyze_commands_equal_the_library_path(tmp_path):
     # Steps carry extra keys or lack edu_indices; the CLI must read them as
     # DiscoTrace.from_dict does.
@@ -1120,7 +1132,7 @@ def run_python(code, *args):
                                     "http.client"])
 def test_cli_import_does_not_load(module):
     # Every subcommand pays the CLI's import time: scipy alone cost about 1 s, numpy
-    # was half of the rest and only interp, model and compare compute with it, and
+    # was half of the rest and only model and compare compute with it, and
     # only live backends need the HTTP stack and a thread pool (which loads logging).
     result = run_python(f"import discotrace.cli, sys; print({module!r} in sys.modules)")
     assert result.stdout.strip() == "False"
@@ -1139,10 +1151,21 @@ def test_a_live_call_loads_no_third_party_http_client():
     assert stats.posts == 1
 
 
-@pytest.mark.parametrize("command", ["trace", "segment", "filter", "sample", "metrics"])
+@pytest.mark.parametrize("command", ["trace", "segment", "filter", "sample", "metrics",
+                                     "interp"])
 def test_a_command_that_computes_no_statistics_never_loads_numpy(tmp_path, command):
     questions, answers, spaces, fixture, config_path, space = make_trace_inputs(tmp_path)
     seed_trace_fixture(fixture, space)
+    interp_fixture, interp_config = tmp_path / "interp.jsonl", tmp_path / "interp.json"
+    request = build_interp_gen_prompt("Why is the sky blue?", "", "mg")
+    append_fixture(interp_fixture, request_digest(request), "1. Physically, why?\n2. Why not red?")
+    append_fixture(interp_fixture, text_digest("me", "Physically, why?"), "[1.0, 0.0]")
+    append_fixture(interp_fixture, text_digest("me", "Why not red?"), "[0.9, 0.1]")
+    mock = {"kind": "mock", "fixture_path": "interp.jsonl"}
+    interp_config.write_text(json.dumps({
+        "interp_generators": [{**mock, "name": "gen", "model": "mg"}],
+        "embedder": {**mock, "name": "embed", "model": "me"},
+    }))
     raw, traces, out = tmp_path / "raw.jsonl", tmp_path / "traces.jsonl", tmp_path / "out"
     write_jsonl(raw, [{"post_id": "p1", "title": "Why did the Roman Empire split in two?",
                        "score": 10, "community": "AskHistorians", "profanity_prob": 0.0,
@@ -1156,6 +1179,7 @@ def test_a_command_that_computes_no_statistics_never_loads_numpy(tmp_path, comma
         "filter": ["--in", raw, "--out", out],
         "sample": ["--in", questions, "--out", out, "--n", 1],
         "metrics": ["--in", traces, "--spaces", spaces, "--out", out],
+        "interp": ["--in", questions, "--out", out, "--config", interp_config],
     }[command]
     # main() ends in sys.exit, so the check runs at exit; a failed command exits nonzero.
     result = run_python("import atexit, sys\n"
@@ -1294,7 +1318,7 @@ def test_an_empty_mimic_reply_exits_2_and_keeps_the_finished_answers(tmp_path):
     out = tmp_path / "answers.jsonl"
     result = run(out)
     assert result.exit_code == 2, result.output
-    assert result.stderr == "error: the reply is empty\n"
+    assert result.stderr == "error: question 'q1': the reply is empty\n"
     assert [json.loads(line)["question_id"] for line in out.read_text().splitlines()] == ["q0"]
 
 
@@ -1506,5 +1530,5 @@ def test_interp_stops_on_a_generator_fixture_miss(tmp_path):
     out = tmp_path / "spaces.jsonl"
     result = invoke("interp", "--in", str(questions), "--out", str(out), "--config", str(config))
     assert result.exit_code == 2, result.output
-    assert result.stderr.startswith("error: no fixture entry for request digest ")
+    assert result.stderr.startswith("error: question 'q1': no fixture entry for request digest ")
     assert out.read_text() == ""

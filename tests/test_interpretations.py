@@ -148,8 +148,77 @@ def test_dedup_ragged_embeddings():
     def ragged(texts):
         return [[1.0, 0.0], [1.0, 0.0, 0.0]][: len(texts)]
 
-    with pytest.raises((EmbeddingDimensionMismatch, ValueError)):
+    with pytest.raises(EmbeddingDimensionMismatch):
         deduplicate([("a", "x"), ("a", "y")], ragged, threshold=0.5)
+
+
+@pytest.mark.parametrize("embeddings", [
+    [1.0, 2.0],                        # scalars
+    [[1.0, 0.0]],                      # one vector short
+    [[[1.0], [0.0]], [[1.0], [0.0]]],  # matrices
+    ["ab", "cd"],                      # strings
+    [[1.0, None], [1.0, 0.0]],         # a hole
+])
+def test_dedup_rejects_embeddings_that_are_not_one_vector_per_text(embeddings):
+    with pytest.raises(EmbeddingDimensionMismatch):
+        deduplicate([("a", "x"), ("a", "y")], lambda texts: embeddings, threshold=0.5)
+
+
+def test_dedup_never_merges_a_zero_vector():
+    vectors = {"zero": [0.0, 0.0], "again": [0.0, 0.0], "x": [1.0, 0.0], "x too": [1.0, 0.0]}
+    raw = [("a", text) for text in vectors]
+    space = deduplicate(raw, lambda texts: [vectors[t] for t in texts], threshold=0.5)
+    assert [m.text for m in space.members] == ["zero", "again", "x"]
+
+
+def test_dedup_merges_identical_vectors_at_threshold_one():
+    rng = np.random.default_rng(11)
+    vectors = rng.normal(size=(20, 1536)).tolist()
+    raw = [(source, f"t{i}") for i in range(20) for source in ("a", "b")]
+    space = deduplicate(raw, lambda texts: [vectors[int(t[1:])] for t in texts], threshold=1.0)
+    assert [m.text for m in space.members] == [f"t{i}" for i in range(20)]
+    assert all(m.sources == {"a", "b"} for m in space.members)
+
+
+def numpy_clusters(vectors, threshold):
+    """Each candidate's member index under the greedy rule, with the cosine taken as the dot
+    product of unit vectors (a zero vector's "unit" vector is itself)."""
+    matrix = np.asarray(vectors, dtype=float)
+    norms = np.linalg.norm(matrix, axis=1)
+    norms[norms == 0] = 1.0
+    unit = matrix / norms[:, None]
+    representatives, clusters = [], []
+    for vector in unit:
+        cosines = [float(vector @ rep) for rep in representatives]
+        first = next((k for k, c in enumerate(cosines) if c >= threshold), None)
+        if first is None:
+            first = len(representatives)
+            representatives.append(vector)
+        clusters.append(first)
+    return clusters, unit @ unit.T
+
+
+@pytest.mark.parametrize("dims", [8, 64, 1536])
+def test_dedup_clusters_as_the_numpy_dot_product_does(dims):
+    rng = np.random.default_rng(dims)
+    checked = merged = 0
+    for _ in range(40):
+        bases = rng.normal(size=(4, dims))
+        noise = rng.choice([0.05, 0.3, 1.0])
+        vectors = [(bases[rng.integers(4)] + noise * rng.normal(size=dims)) * rng.uniform(0.5, 2)
+                   for _ in range(12)]
+        threshold = rng.uniform(0.3, 1.0)
+        expected, cosines = numpy_clusters(vectors, threshold)
+        if np.any(np.abs(cosines - threshold) < 1e-12):
+            continue  # a decision this close to the threshold is rounding's to make
+        raw = [(f"c{i}", f"t{i}") for i in range(len(vectors))]
+        table = {f"t{i}": v.tolist() for i, v in enumerate(vectors)}
+        space = deduplicate(raw, lambda texts: [table[t] for t in texts], threshold)
+        member_of = {source: k for k, m in enumerate(space.members) for source in m.sources}
+        assert [member_of[f"c{i}"] for i in range(len(vectors))] == expected
+        checked += 1
+        merged += len(space) < len(vectors)
+    assert checked >= 30 and 0 < merged < checked
 
 
 def test_space_round_trip():
