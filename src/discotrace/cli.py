@@ -42,7 +42,7 @@ from .stats import (
     project_families,
 )
 
-_BACKEND_ERRORS = (TransportError, AuthError, FixtureMiss)
+_BACKEND_ERRORS = (TransportError, AuthError, FixtureMiss, UnparsableResponse)
 
 
 class _ExitCodes(click.Group):
@@ -137,7 +137,7 @@ def filter_cmd(in_path, out_path, tally_out):
         })
     corpus_io.write_corpus(out_path, out_records)
     if tally_out:
-        Path(tally_out).write_text(json.dumps(tally, indent=2))
+        Path(tally_out).write_text(json.dumps(tally, indent=2), encoding="utf-8")
     click.echo(f"kept {len(out_records)} of {len(posts)} posts")
 
 
@@ -303,7 +303,7 @@ def model_cmd(in_path, out_path, config_path, smoothing_flag, family_level):
         "counts": [[prev, nxt, c] for (prev, nxt), c in sorted(model.counts.items())],
         "smoothing": {"mode": smoothing.mode, "lambda": smoothing.lam},
         "training_sequences": model.training_sequences,
-    }, indent=2))
+    }, indent=2), encoding="utf-8")
     click.echo(f"fit bigram model over {model.training_sequences} traces")
 
 
@@ -336,12 +336,12 @@ def compare_cmd(corpora, out_path, json_out, long_csv_out, config_path,
         named[name] = project_families(traces, ontology) if family_level else traces
     matrix = cross_perplexity_matrix(named, smoothing,
                                      vocabulary=_vocabulary(ontology, family_level))
-    with open(out_path, "w", newline="") as handle:
+    with open(out_path, "w", encoding="utf-8", newline="") as handle:
         matrix.write_csv(handle)
     if json_out:
-        Path(json_out).write_text(matrix.to_json())
+        Path(json_out).write_text(matrix.to_json(), encoding="utf-8")
     if long_csv_out:
-        with open(long_csv_out, "w", newline="") as handle:
+        with open(long_csv_out, "w", encoding="utf-8", newline="") as handle:
             matrix.write_long_csv(handle)
     click.echo(f"wrote {len(named)}x{len(named)} cross-perplexity matrix")
 
@@ -371,7 +371,7 @@ def metrics_cmd(in_path, spaces_path, out_path, config_path):
             f"{aid}:{iid}": value
             for (aid, iid), value in report.dedication.items()
         },
-    }))
+    }), encoding="utf-8")
     click.echo(f"computed metrics for {len(traces)} traces")
 
 
@@ -408,7 +408,7 @@ def mimic_cmd(in_path, out_path, config_path, subreddit, explanation,
     backend = config.answer_generator
     if backend is None:
         raise ValueError(f"config {config_path}: must define answer_generator")
-    guidelines = Path(guidelines_file).read_text()
+    guidelines = Path(guidelines_file).read_text(encoding="utf-8")
 
     def run_one(record):
         request = build_mimic_prompt(

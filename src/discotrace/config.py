@@ -87,7 +87,7 @@ class PipelineConfig:
             return cls()
         path = Path(path)
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(path.read_text(encoding="utf-8"))
             if not isinstance(doc, dict):
                 raise ValueError("expected a JSON object")
             return cls.from_dict(doc, base_dir=path.parent)

@@ -241,7 +241,9 @@ def input_error(where, exc: BaseException, line=None) -> Exception:
 
 def read_lines(handle, where, view=None):
     """Yield ``view`` of each JSON object of this ``SCHEMA_VERSION`` on the JSONL text ``handle``,
-    skipping blank lines; an error raises its :func:`input_error` at its line of ``where``."""
+    skipping blank lines; an error raises its :func:`input_error` at its line of ``where``.
+    A byte that is not UTF-8 is looked for again in the file ``handle.name`` to name its
+    line: the text reader decodes 8 KiB ahead of the line it yields."""
     try:
         for number, line in enumerate(handle, start=1):
             if not line.strip():
@@ -254,9 +256,25 @@ def read_lines(handle, where, view=None):
                 raise SchemaVersionMismatch(number, f"schema_version {version} != {SCHEMA_VERSION}")
             yield record if view is None else view(record)
     except INPUT_ERRORS as exc:
-        if isinstance(exc, (OSError, UnicodeDecodeError)):  # reading ahead, not of a line
+        reason = exc
+        if isinstance(exc, UnicodeDecodeError):  # the reader decodes ahead of the line loop
+            number, reason = _undecodable_line(handle.name, exc)
+        elif isinstance(exc, OSError):  # reading ahead, not of a line
             number = None
-        raise input_error(where, exc, number) from exc
+        raise input_error(where, reason, number) from exc
+
+
+def _undecodable_line(path, exc: UnicodeDecodeError):
+    """(number, error) of the first line of ``path`` that is not UTF-8, read again with each
+    bad byte kept as a lone surrogate, so the lines split as they did; (None, ``exc``) when
+    every line decodes."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for number, line in enumerate(handle, start=1):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as error:
+                return number, error
+    return None, exc
 
 
 def read_corpus(path, view=None) -> list:

@@ -88,8 +88,10 @@ class FixtureMiss(DiscoTraceError):
         self.request = request
 
 
-class EmbeddingDimensionMismatch(DiscoTraceError):
-    pass
+class EmbeddingDimensionMismatch(TransportError):
+    """An embedding reply that is not one number vector per text, all of one length.
+    Only ``gateway.embed`` raises it; it is a backend failure, as a chat reply without
+    text is."""
 
 
 # --- Statistics ---

@@ -347,8 +347,9 @@ def ask(backend: BackendSpec, request: ChatRequest, parse):
 
 
 def embed(backend: BackendSpec, texts: list[str]) -> list[list[float]]:
-    """Return one fixed-dimension vector per input text. A reply that is not a list
-    of number vectors raises ``TransportError``, as a chat reply without text does."""
+    """Return one number vector per input text, all of one length. This is the only
+    check of an embedding reply: any other reply raises ``EmbeddingDimensionMismatch``,
+    a ``TransportError``, as a chat reply without text does."""
     if backend.kind == "mock":
         entries = _mock_entries(backend)
         vectors = []
@@ -368,7 +369,10 @@ def embed(backend: BackendSpec, texts: list[str]) -> list[list[float]]:
             vectors = None
     if not isinstance(vectors, list) or not all(
             isinstance(v, list) and all(type(x) in (int, float) for x in v) for v in vectors):
-        raise TransportError("embedding reply is not a list of number vectors")
+        raise EmbeddingDimensionMismatch("embedding reply is not a list of number vectors")
+    if len(vectors) != len(texts):
+        raise EmbeddingDimensionMismatch(
+            f"embedding reply has {len(vectors)} vectors for {len(texts)} texts")
     dims = {len(v) for v in vectors}
     if len(dims) > 1:
         raise EmbeddingDimensionMismatch(f"mixed embedding dimensions {sorted(dims)}")

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
 
 from . import gateway
 from .corpus import of_type, typed
-from .errors import EmbeddingDimensionMismatch, TransportError, UnparsableResponse
+from .errors import TransportError, UnparsableResponse
 from .gateway import BackendSpec
 from .prompts import build_interp_gen_prompt, parse_interp_list
 
@@ -98,9 +97,6 @@ def generate_raw(
     return pooled, warnings
 
 
-EmbedFn = Callable[[list[str]], list[list[float]]]
-
-
 def _cosine(a, a_norm: float, b, b_norm: float) -> float:
     """The law of cosines over |a|, |b| and |a−b|, divided through by |a||b|; 0.0 when
     either vector is zero."""
@@ -112,7 +108,7 @@ def _cosine(a, a_norm: float, b, b_norm: float) -> float:
 
 def deduplicate(
     raw: list[tuple[str, str]],
-    embedder: Union[BackendSpec, EmbedFn],
+    embedder: BackendSpec,
     threshold: float = DEFAULT_DEDUP_THRESHOLD,
     question_id: str = "",
 ) -> InterpretationSpace:
@@ -125,8 +121,9 @@ def deduplicate(
     square overflows or underflows: one ``math.hypot`` per vector and one ``math.dist``
     per comparison. It agrees with the dot product of the unit vectors to about 1e-15
     for vectors of like norm, and is exactly 1.0 for identical vectors. A zero vector is
-    similar to nothing, so it never merges. Embeddings that are not one number vector
-    per text, all of one length, raise ``EmbeddingDimensionMismatch``.
+    similar to nothing, so it never merges. The texts are embedded in one
+    ``gateway.embed`` call on ``embedder``, which checks the reply: one number vector
+    per text, all of one length.
     """
     if not 0 < threshold <= 1:
         raise ValueError("threshold must be in (0, 1]")
@@ -134,18 +131,9 @@ def deduplicate(
     if not raw:
         return space
 
-    texts = [text for _, text in raw]
-    if isinstance(embedder, BackendSpec):
-        vectors = gateway.embed(embedder, texts)
-    else:
-        vectors = embedder(texts)
-    try:
-        vectors = [tuple(v) for v in vectors]  # math.dist would copy a list on every call
-        norms = [math.hypot(*v) for v in vectors]
-    except TypeError as exc:
-        raise EmbeddingDimensionMismatch(f"embedder returned a non-vector: {exc}") from exc
-    if len(vectors) != len(texts) or len({len(v) for v in vectors}) > 1:
-        raise EmbeddingDimensionMismatch("embedder returned a ragged or misshaped array")
+    # tuples: math.dist would copy a list on every call
+    vectors = [tuple(v) for v in gateway.embed(embedder, [text for _, text in raw])]
+    norms = [math.hypot(*v) for v in vectors]
 
     representatives: list[tuple[tuple, float]] = []
     for (source, text), vector, norm in zip(raw, vectors, norms):
@@ -167,10 +155,11 @@ def build_space(
     question: str,
     community_context: str,
     generator_backends: list[BackendSpec],
-    embedder: Union[BackendSpec, EmbedFn],
+    embedder: BackendSpec,
     threshold: float = DEFAULT_DEDUP_THRESHOLD,
 ) -> tuple[InterpretationSpace, list[str]]:
-    """Generate, pool, and deduplicate the space for one question."""
+    """Generate, pool, and deduplicate the space for one question; ``embedder`` is the
+    backend that ``deduplicate`` embeds the pooled readings on."""
     raw, warnings = generate_raw(question, community_context, generator_backends)
     space = deduplicate(raw, embedder, threshold, question_id=question_id)
     return space, warnings

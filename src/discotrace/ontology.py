@@ -84,12 +84,12 @@ def load_ontology(source: Union[str, Path, dict, None] = None) -> Ontology:
     ontology raises the ``corpus.input_error`` of ``ontology <path>``.
     """
     if source is None:
-        return _ontology_of(json.loads(
-            resources.files("discotrace.data").joinpath("default_ontology.json").read_text()))
+        return _ontology_of(json.loads(resources.files("discotrace.data").joinpath(
+            "default_ontology.json").read_text(encoding="utf-8")))
     if isinstance(source, dict):
         return _ontology_of(source)
     try:
-        return _ontology_of(json.loads(Path(source).read_text()))
+        return _ontology_of(json.loads(Path(source).read_text(encoding="utf-8")))
     except INPUT_ERRORS as exc:
         raise input_error(f"ontology {source}", exc) from exc
 

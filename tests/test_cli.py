@@ -441,6 +441,31 @@ def test_a_bad_fixture_line_names_the_file_and_the_line(tmp_path, line, reason):
     assert f"fixture {fixture.resolve()}: line {number}: {reason}" in result.stderr
 
 
+@pytest.mark.parametrize("number", [2, 300])  # line 300 lies past the 8 KiB read-ahead
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, number):
+    src = tmp_path / "latin.jsonl"
+    line = (json.dumps(trace_record("a1", "q1", ["action_AQ_assert_answer"])) + "\n").encode()
+    src.write_bytes(line * (number - 1) + b'{"answer_id": "\xff"}\n' + line)
+    result = invoke("model", "--in", str(src), "--out", str(tmp_path / "model.json"))
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith(
+        f"error: {src}: line {number}: 'utf-8' codec can't decode byte 0xff in position 15")
+
+
+def test_a_byte_that_is_not_utf8_in_a_fixture_names_its_line(tmp_path):
+    questions, answers, spaces, fixture, config_path, space = make_trace_inputs(tmp_path)
+    seed_trace_fixture(fixture, space)
+    with open(fixture, "ab") as handle:
+        handle.write(b'{"request_digest": "d", "response_text": "\xff"}\n')
+    number = len(fixture.read_bytes().splitlines())
+    result = invoke("trace", "--in", str(answers), "--questions", str(questions),
+                    "--spaces", str(spaces), "--out", str(tmp_path / "out.jsonl"),
+                    "--config", str(config_path))
+    assert result.exit_code == 1, result.output
+    assert (f"fixture {fixture.resolve()}: line {number}: 'utf-8' codec can't decode byte 0xff"
+            in result.stderr)
+
+
 def _eligible_as(value):
     doc = load_ontology().to_dict()
     doc["acts"][0]["interpretation_eligible"] = value
@@ -1190,6 +1215,54 @@ def test_a_command_that_computes_no_statistics_never_loads_numpy(tmp_path, comma
     assert out.exists()
 
 
+@pytest.mark.parametrize("command", ["filter", "model", "compare", "metrics", "mimic-answer"])
+def test_every_file_a_command_opens_is_utf8(tmp_path, monkeypatch, command):
+    # Under PYTHONWARNDEFAULTENCODING (-X warn_default_encoding), a file opened in the
+    # locale's encoding raises EncodingWarning; one raised from discotrace fails the command.
+    monkeypatch.setenv("PYTHONWARNDEFAULTENCODING", "1")
+    traces, spaces = tmp_path / "traces.jsonl", tmp_path / "spaces.jsonl"
+    write_jsonl(traces, [trace_record("a1", "q1", ["action_AQ_assert_answer"])])
+    write_jsonl(spaces, [InterpretationSpace(question_id="q1").to_dict()])
+    raw = tmp_path / "raw.jsonl"
+    write_jsonl(raw, [{"post_id": "p1", "title": "Why did the Roman Empire split in two?",
+                       "score": 10, "community": "AskHistorians", "profanity_prob": 0.0,
+                       "comments": [{"comment_id": f"c{i}", "text": "t", "score": 3}
+                                    for i in range(6)]}])
+    (tmp_path / "ontology.json").write_text(
+        json.dumps(load_ontology().to_dict(), ensure_ascii=False), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "ontology_path": "ontology.json",
+        "answer_generator": {"kind": "mock", "name": "gen", "model": "m",
+                             "fixture_path": "gen.jsonl"},
+    }), encoding="utf-8")
+    guidelines = tmp_path / "guidelines.md"
+    guidelines.write_text("Soyez précis.", encoding="utf-8")
+    request = build_mimic_prompt(question="Why is the sky blue?", subreddit_name="s",
+                                 subreddit_explanation="e", guidelines="Soyez précis.",
+                                 model_name="m", max_tokens=1000)
+    append_fixture(tmp_path / "gen.jsonl", request_digest(request), "Rayleigh scattering.")
+    questions = tmp_path / "questions.jsonl"
+    write_jsonl(questions, [{"post_id": "q1", "title": "Why is the sky blue?"}])
+    out = tmp_path / "out"
+    args = {
+        "filter": ["--in", raw, "--out", out, "--tally-out", tmp_path / "tally.json"],
+        "model": ["--in", traces, "--out", out, "--config", config],
+        "compare": ["--corpora", f"café={traces}", "--out", out,
+                    "--json-out", tmp_path / "matrix.json",
+                    "--long-csv-out", tmp_path / "long.csv"],
+        "metrics": ["--in", traces, "--spaces", spaces, "--out", out],
+        "mimic-answer": ["--in", questions, "--out", out, "--config", config,
+                         "--subreddit", "s", "--explanation", "e",
+                         "--guidelines-file", guidelines],
+    }[command]
+    run_python("import warnings\n"
+               "warnings.filterwarnings('error', category=EncodingWarning, module='discotrace')\n"
+               "from discotrace.cli import main\n"
+               "main()", command, *args)
+    assert out.exists()
+
+
 @pytest.mark.parametrize("command, flags", [("compare", []), ("compare", ["--family-level"]),
                                             ("model", []), ("model", ["--family-level"]),
                                             ("metrics", [])])
@@ -1436,6 +1509,48 @@ def test_interp_command_equals_build_space_per_question(tmp_path):
     assert any("warnings" in doc for doc in expected)
     write_corpus(tmp_path / "expected.jsonl", expected)
     assert out.read_text() == (tmp_path / "expected.jsonl").read_text()
+
+
+# (each generator's reply; the embedding fixture's replies for the two readings, or None
+# for a live embedder that returns one vector; what the error says after the question)
+BAD_INTERP_REPLIES = [
+    ("1. First?\n2. Second?", ["[1.0, 0.0]", "[1.0, 0.0, 0.0]"],
+     "mixed embedding dimensions [2, 3]"),
+    ("1. First?\n2. Second?", ['"x"', "[1.0, 0.0]"],
+     "embedding reply is not a list of number vectors"),
+    ("1. First?\n2. Second?", None, "embedding reply has 1 vectors for 4 texts"),
+    ("garbage reply", [], "neither NONE nor a numbered list"),
+]
+
+
+@pytest.mark.parametrize("reply, embeddings, reason", BAD_INTERP_REPLIES,
+                         ids=["mixed-dimensions", "not-a-vector", "live-vector-short",
+                              "unparsable"])
+def test_interp_exits_2_and_names_the_question_on_a_bad_reply(tmp_path, reply, embeddings,
+                                                              reason):
+    questions = tmp_path / "questions.jsonl"
+    write_jsonl(questions, [{"post_id": "q1", "title": "Why is the sky blue?"}])
+    fixture = tmp_path / "interp.jsonl"
+    fixture.touch()
+    for model in ("ma", "mb"):
+        request = build_interp_gen_prompt("Why is the sky blue?", "", model)
+        append_fixture(fixture, request_digest(request), reply)
+    for text, embedding in zip(["First?", "Second?"], embeddings or []):
+        append_fixture(fixture, text_digest("me", text), embedding)
+    mock = {"kind": "mock", "fixture_path": "interp.jsonl"}
+    config, out = tmp_path / "config.json", tmp_path / "spaces.jsonl"
+    with http_stub(lambda body: (200, {"data": [{"embedding": [1.0, 0.0]}]})) as (endpoint, _):
+        live = {"kind": "live", "endpoint": endpoint, "retry_limit": 0}
+        config.write_text(json.dumps({
+            "interp_generators": [{**mock, "name": "gen_a", "model": "ma"},
+                                  {**mock, "name": "gen_b", "model": "mb"}],
+            "embedder": {**(live if embeddings is None else mock), "name": "embed", "model": "me"},
+        }))
+        result = invoke("interp", "--in", str(questions), "--out", str(out),
+                        "--config", str(config))
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: question 'q1': {reason}\n"
+    assert out.read_text() == ""
 
 
 # (config document, or its text, and how its error goes on after naming the file;

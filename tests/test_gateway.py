@@ -583,6 +583,15 @@ def test_live_embedding_reply_of_the_wrong_shape_is_a_transport_error(stub_serve
         embed(backend, ["x"])
 
 
+@pytest.mark.parametrize("vectors", [[[0.1, 0.2]], [[0.1, 0.2]] * 3])
+def test_a_live_embedding_reply_needs_one_vector_per_text(stub_server, vectors):
+    _StubHandler.responses = [(200, {"data": [{"embedding": v} for v in vectors]})]
+    backend = BackendSpec(kind="live", endpoint=stub_server, model="emb", retry_limit=0)
+    with pytest.raises(EmbeddingDimensionMismatch,
+                       match=f"embedding reply has {len(vectors)} vectors for 2 texts"):
+        embed(backend, ["x", "y"])
+
+
 def test_a_mock_embedding_that_is_not_json_names_the_fixture_and_the_digest(tmp_path):
     fixture = tmp_path / "embed.jsonl"
     digest = text_digest("emb", "x")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,30 +8,42 @@ from discotrace import BackendSpec, build_interp_gen_prompt, deduplicate, genera
 from discotrace.errors import (
     EmbeddingDimensionMismatch, FixtureMiss, TransportError, UnparsableResponse,
 )
-from discotrace.gateway import append_fixture, request_digest
+from discotrace.gateway import append_fixture, request_digest, text_digest
 from discotrace.interpretations import InterpretationSpace, build_space
 
 from conftest import http_stub
 
 
-def hash_embedder(texts):
+def mock_embedder(path, vectors):
+    """A mock embedding backend whose fixture at ``path`` maps the digest of each text of
+    ``vectors`` to its vector's JSON, so ``deduplicate`` reads it as the CLI would."""
+    backend = BackendSpec(kind="mock", name="embed", model="embed-model", fixture_path=str(path))
+    for text, vector in vectors.items():
+        append_fixture(path, text_digest(backend.model, text), json.dumps(vector))
+    return backend
+
+
+#: An embedder that is never asked: ``deduplicate`` embeds nothing for an empty pool.
+UNUSED_EMBEDDER = BackendSpec(kind="mock", name="embed", model="embed-model")
+
+
+def hash_embedder(tmp_path, texts):
     """Injective up to string equality: equal strings get identical unit
     vectors, distinct strings get (almost surely) non-parallel vectors."""
-    rng_vectors = []
+    vectors = {}
     for text in texts:
         rng = np.random.default_rng(abs(hash(text)) % (2**32))
         v = rng.normal(size=16)
-        rng_vectors.append(v / np.linalg.norm(v))
-    return [v.tolist() for v in rng_vectors]
+        vectors[text] = (v / np.linalg.norm(v)).tolist()
+    return mock_embedder(tmp_path / "hash.jsonl", vectors)
 
 
-def orthogonal_embedder(texts):
-    vectors = []
-    for i, _ in enumerate(texts):
-        v = [0.0] * len(texts)
-        v[i] = 1.0
-        vectors.append(v)
-    return vectors
+def orthogonal_embedder(tmp_path, texts):
+    vectors = {}
+    for i, text in enumerate(texts):
+        vectors[text] = [0.0] * len(texts)
+        vectors[text][i] = 1.0
+    return mock_embedder(tmp_path / "orthogonal.jsonl", vectors)
 
 
 def make_gen_backend(tmp_path, name, question, context, response):
@@ -83,29 +96,27 @@ def test_generate_raw_all_fail(tmp_path, monkeypatch):
         generate_raw("Q?", "ctx", [bad])
 
 
-def test_dedup_exact_duplicates_merge_sources():
+def test_dedup_exact_duplicates_merge_sources(tmp_path):
     raw = [("a", "Same text?"), ("b", "Same text?")]
-    space = deduplicate(raw, hash_embedder, threshold=0.99)
+    space = deduplicate(raw, hash_embedder(tmp_path, ["Same text?"]), threshold=0.99)
     assert len(space) == 1
     assert space.members[0].sources == {"a", "b"}
     assert space.members[0].id == "id_1"
 
 
-def test_dedup_orthogonal_all_kept():
+def test_dedup_orthogonal_all_kept(tmp_path):
     raw = [("a", "One?"), ("a", "Two?"), ("b", "Three?")]
-    space = deduplicate(raw, orthogonal_embedder, threshold=0.5)
+    space = deduplicate(raw, orthogonal_embedder(tmp_path, ["One?", "Two?", "Three?"]),
+                        threshold=0.5)
     assert len(space) == 3
     assert [m.id for m in space.members] == ["id_1", "id_2", "id_3"]
 
 
-def test_dedup_cosine_merge_to_first():
+def test_dedup_cosine_merge_to_first(tmp_path):
     # Hand-computed 2-d vectors: cos(v1, v2) = 0.9 exactly.
     v1 = [1.0, 0.0]
     v2 = [0.9, math.sqrt(1 - 0.81)]
-
-    def embedder(texts):
-        table = {"first": v1, "second": v2}
-        return [table[t] for t in texts]
+    embedder = mock_embedder(tmp_path / "embed.jsonl", {"first": v1, "second": v2})
 
     raw = [("a", "first"), ("b", "second")]
     merged = deduplicate(raw, embedder, threshold=0.85)
@@ -116,16 +127,17 @@ def test_dedup_cosine_merge_to_first():
     assert len(kept) == 2
 
 
-def test_dedup_matches_exact_string_dedup():
+def test_dedup_matches_exact_string_dedup(tmp_path):
     raw = [("a", "x"), ("a", "y"), ("b", "x"), ("b", "z"), ("a", "y")]
-    space = deduplicate(raw, hash_embedder, threshold=1.0 - 1e-12)
+    space = deduplicate(raw, hash_embedder(tmp_path, "xyz"), threshold=1.0 - 1e-12)
     assert [m.text for m in space.members] == ["x", "y", "z"]
 
 
-def test_dedup_output_size_and_determinism():
+def test_dedup_output_size_and_determinism(tmp_path):
     raw = [("a", f"t{i}") for i in range(10)]
-    first = deduplicate(raw, hash_embedder, threshold=0.8)
-    second = deduplicate(raw, hash_embedder, threshold=0.8)
+    embedder = hash_embedder(tmp_path, [text for _, text in raw])
+    first = deduplicate(raw, embedder, threshold=0.8)
+    second = deduplicate(raw, embedder, threshold=0.8)
     assert len(first) <= len(raw)
     assert sum(len(m.sources) for m in first.members) <= len(raw)
     assert [(m.id, m.text) for m in first.members] == [(m.id, m.text) for m in second.members]
@@ -133,49 +145,50 @@ def test_dedup_output_size_and_determinism():
 
 def test_dedup_threshold_validation():
     with pytest.raises(ValueError):
-        deduplicate([], hash_embedder, threshold=0.0)
+        deduplicate([], UNUSED_EMBEDDER, threshold=0.0)
     with pytest.raises(ValueError):
-        deduplicate([], hash_embedder, threshold=1.5)
+        deduplicate([], UNUSED_EMBEDDER, threshold=1.5)
 
 
 def test_dedup_empty_pool():
-    space = deduplicate([], hash_embedder, threshold=0.85, question_id="q1")
+    space = deduplicate([], UNUSED_EMBEDDER, threshold=0.85, question_id="q1")
     assert len(space) == 0
     assert space.question_id == "q1"
 
 
-def test_dedup_ragged_embeddings():
-    def ragged(texts):
-        return [[1.0, 0.0], [1.0, 0.0, 0.0]][: len(texts)]
-
-    with pytest.raises(EmbeddingDimensionMismatch):
+def test_dedup_ragged_embeddings(tmp_path):
+    ragged = mock_embedder(tmp_path / "embed.jsonl", {"x": [1.0, 0.0], "y": [1.0, 0.0, 0.0]})
+    with pytest.raises(EmbeddingDimensionMismatch, match=r"mixed embedding dimensions \[2, 3\]"):
         deduplicate([("a", "x"), ("a", "y")], ragged, threshold=0.5)
 
 
+# A reply with a vector short or one extra can only come from a live embedder:
+# tests/test_gateway.py checks that embed rejects it.
 @pytest.mark.parametrize("embeddings", [
     [1.0, 2.0],                        # scalars
-    [[1.0, 0.0]],                      # one vector short
     [[[1.0], [0.0]], [[1.0], [0.0]]],  # matrices
     ["ab", "cd"],                      # strings
     [[1.0, None], [1.0, 0.0]],         # a hole
 ])
-def test_dedup_rejects_embeddings_that_are_not_one_vector_per_text(embeddings):
-    with pytest.raises(EmbeddingDimensionMismatch):
-        deduplicate([("a", "x"), ("a", "y")], lambda texts: embeddings, threshold=0.5)
+def test_dedup_rejects_embeddings_that_are_not_one_vector_per_text(tmp_path, embeddings):
+    embedder = mock_embedder(tmp_path / "embed.jsonl", dict(zip("xy", embeddings)))
+    with pytest.raises(EmbeddingDimensionMismatch,
+                       match="embedding reply is not a list of number vectors"):
+        deduplicate([("a", "x"), ("a", "y")], embedder, threshold=0.5)
 
 
-def test_dedup_never_merges_a_zero_vector():
+def test_dedup_never_merges_a_zero_vector(tmp_path):
     vectors = {"zero": [0.0, 0.0], "again": [0.0, 0.0], "x": [1.0, 0.0], "x too": [1.0, 0.0]}
     raw = [("a", text) for text in vectors]
-    space = deduplicate(raw, lambda texts: [vectors[t] for t in texts], threshold=0.5)
+    space = deduplicate(raw, mock_embedder(tmp_path / "embed.jsonl", vectors), threshold=0.5)
     assert [m.text for m in space.members] == ["zero", "again", "x"]
 
 
-def test_dedup_merges_identical_vectors_at_threshold_one():
+def test_dedup_merges_identical_vectors_at_threshold_one(tmp_path):
     rng = np.random.default_rng(11)
-    vectors = rng.normal(size=(20, 1536)).tolist()
+    vectors = {f"t{i}": v for i, v in enumerate(rng.normal(size=(20, 1536)).tolist())}
     raw = [(source, f"t{i}") for i in range(20) for source in ("a", "b")]
-    space = deduplicate(raw, lambda texts: [vectors[int(t[1:])] for t in texts], threshold=1.0)
+    space = deduplicate(raw, mock_embedder(tmp_path / "embed.jsonl", vectors), threshold=1.0)
     assert [m.text for m in space.members] == [f"t{i}" for i in range(20)]
     assert all(m.sources == {"a", "b"} for m in space.members)
 
@@ -199,10 +212,10 @@ def numpy_clusters(vectors, threshold):
 
 
 @pytest.mark.parametrize("dims", [8, 64, 1536])
-def test_dedup_clusters_as_the_numpy_dot_product_does(dims):
+def test_dedup_clusters_as_the_numpy_dot_product_does(tmp_path, dims):
     rng = np.random.default_rng(dims)
     checked = merged = 0
-    for _ in range(40):
+    for draw in range(40):
         bases = rng.normal(size=(4, dims))
         noise = rng.choice([0.05, 0.3, 1.0])
         vectors = [(bases[rng.integers(4)] + noise * rng.normal(size=dims)) * rng.uniform(0.5, 2)
@@ -213,7 +226,8 @@ def test_dedup_clusters_as_the_numpy_dot_product_does(dims):
             continue  # a decision this close to the threshold is rounding's to make
         raw = [(f"c{i}", f"t{i}") for i in range(len(vectors))]
         table = {f"t{i}": v.tolist() for i, v in enumerate(vectors)}
-        space = deduplicate(raw, lambda texts: [table[t] for t in texts], threshold)
+        embedder = mock_embedder(tmp_path / f"embed{draw}.jsonl", table)
+        space = deduplicate(raw, embedder, threshold)
         member_of = {source: k for k, m in enumerate(space.members) for source in m.sources}
         assert [member_of[f"c{i}"] for i in range(len(vectors))] == expected
         checked += 1
@@ -221,8 +235,9 @@ def test_dedup_clusters_as_the_numpy_dot_product_does(dims):
     assert checked >= 30 and 0 < merged < checked
 
 
-def test_space_round_trip():
-    space = deduplicate([("a", "x"), ("b", "y")], orthogonal_embedder, 0.5, question_id="q9")
+def test_space_round_trip(tmp_path):
+    space = deduplicate([("a", "x"), ("b", "y")], orthogonal_embedder(tmp_path, "xy"), 0.5,
+                        question_id="q9")
     doc = space.to_dict()
     again = InterpretationSpace.from_dict(doc)
     assert again.question_id == "q9"
@@ -232,7 +247,8 @@ def test_space_round_trip():
 
 def test_build_space(tmp_path):
     backends = [make_gen_backend(tmp_path, "a", "Q?", "", "1. X?\n2. X?")]
-    space, warnings = build_space("q1", "Q?", "", backends, hash_embedder, 0.99)
+    space, warnings = build_space("q1", "Q?", "", backends, hash_embedder(tmp_path, ["X?"]),
+                                  0.99)
     assert space.question_id == "q1"
     assert len(space) == 1
     assert warnings == []
