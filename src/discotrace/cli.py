@@ -30,7 +30,7 @@ from .config import PipelineConfig
 from .errors import AuthError, FixtureMiss, TransportError, UnparsableResponse
 from .interpretations import InterpretationSpace, build_space
 from .ontology import load_ontology
-from .pipeline import DiscoTrace, pair_interpretations, tag_answer
+from .pipeline import pair_interpretations, tag_answer
 from .prompts import build_mimic_prompt
 from .rst import parse_rst_tree
 from .segmentation import segment_answer
@@ -248,16 +248,42 @@ def trace_cmd(in_path, questions_path, spaces_path, out_path, config_path):
     click.echo(f"traced {count} answers ({n_diag} diagnostics)")
 
 
-def _act_id_view(ontology, view=None):
-    """A ``read_corpus`` view of a trace record's act ids, or of ``view(doc)``, that first
-    checks the ids against ``ontology``, so an unknown one names its line."""
+def _raise_unknown_act_id(ontology, known: frozenset, ids: list):
+    ontology.get(next(i for i in ids if i not in known))  # raises UnknownActId
+
+
+def _act_id_view(ontology):
+    """A ``read_corpus`` view of a trace record's act ids, checked against ``ontology``
+    so that an unknown one names its line."""
     known = frozenset(ontology.act_ids())
 
     def read(doc):
         ids = [s["act_id"] for s in doc.get("steps", ())]
         if not known.issuperset(ids):
-            ontology.get(next(i for i in ids if i not in known))  # raises UnknownActId
-        return ids if view is None else view(doc)
+            _raise_unknown_act_id(ontology, known, ids)
+        return ids
+    return read
+
+
+def _step_view(ontology):
+    """A ``read_corpus`` view of a trace record as :func:`interpretation_metrics` reads it,
+    ``(answer_id, question_id, [(act_id, interpretation_id), ...])``, so that a bad record
+    names its line: the act ids are checked against ``ontology``, and the ids must be text
+    (a question id may be absent, read as "", an interpretation id absent or null, read
+    as None). Nothing else of the record is read."""
+    known = frozenset(ontology.act_ids())
+
+    def read(doc):
+        steps = [(s["act_id"], s.get("interpretation_id")) for s in doc.get("steps", ())]
+        act_ids = [act_id for act_id, _ in steps]
+        if not known.issuperset(act_ids):
+            _raise_unknown_act_id(ontology, known, act_ids)
+        answer_id = corpus_io.typed(doc, "answer_id", str)
+        question_id = corpus_io.typed(doc, "question_id", str, "")
+        for _, iid in steps:
+            if iid is not None and type(iid) is not str:
+                corpus_io.of_type("interpretation_id", iid, str)  # raises TypeError
+        return answer_id, question_id, steps
     return read
 
 
@@ -352,10 +378,12 @@ def compare_cmd(corpora, out_path, json_out, long_csv_out, config_path,
 @click.option("--out", "out_path", required=True, help="Metrics JSON.")
 @click.option("--config", "config_path", default=None)
 def metrics_cmd(in_path, spaces_path, out_path, config_path):
-    """Coverage, dedication, and unmatched-rate aggregates."""
+    """Coverage, dedication, and unmatched-rate aggregates.
+
+    Of each trace only the answer, question, act and interpretation ids are read."""
     config = PipelineConfig.from_file(config_path)
     ontology = load_ontology(config.ontology_path)
-    traces = corpus_io.read_corpus(in_path, view=_act_id_view(ontology, DiscoTrace.from_dict))
+    traces = corpus_io.read_corpus(in_path, view=_step_view(ontology))
     spaces = _read_spaces(spaces_path)
     report = interpretation_metrics(traces, spaces, ontology)
     coverages = list(report.coverage.values())
@@ -421,7 +449,8 @@ def mimic_cmd(in_path, out_path, config_path, subreddit, explanation,
         )
         text, failure = gateway.ask(backend, request, _nonempty_text)
         if failure is not None:
-            raise TransportError(failure[1])
+            kind, message, _ = failure
+            raise (TransportError if kind == "transport" else UnparsableResponse)(message)
         return {"question_id": record["post_id"], "answer_text": text, "generator": backend.name}
 
     count = sum(1 for _ in _run_batch(in_path, out_path, run_one, "question", "post_id",

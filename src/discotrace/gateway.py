@@ -23,6 +23,7 @@ import collections
 import contextlib
 import hashlib
 import json
+import math
 import os
 import threading
 import time
@@ -346,10 +347,18 @@ def ask(backend: BackendSpec, request: ChatRequest, parse):
     return None, failure
 
 
+def _is_number(x) -> bool:
+    """A finite float, or an int that a float can hold (a bool is neither)."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def embed(backend: BackendSpec, texts: list[str]) -> list[list[float]]:
-    """Return one number vector per input text, all of one length. This is the only
-    check of an embedding reply: any other reply raises ``EmbeddingDimensionMismatch``,
-    a ``TransportError``, as a chat reply without text does."""
+    """Return one vector of finite numbers per input text, all of one length. This is the
+    only check of an embedding reply: any other reply, NaN and infinities included, raises
+    ``EmbeddingDimensionMismatch``, a ``TransportError``, as a chat reply without text does."""
     if backend.kind == "mock":
         entries = _mock_entries(backend)
         vectors = []
@@ -368,7 +377,7 @@ def embed(backend: BackendSpec, texts: list[str]) -> list[list[float]]:
         except (KeyError, IndexError, TypeError):
             vectors = None
     if not isinstance(vectors, list) or not all(
-            isinstance(v, list) and all(type(x) in (int, float) for x in v) for v in vectors):
+            isinstance(v, list) and all(map(_is_number, v)) for v in vectors):
         raise EmbeddingDimensionMismatch("embedding reply is not a list of number vectors")
     if len(vectors) != len(texts):
         raise EmbeddingDimensionMismatch(

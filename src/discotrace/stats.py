@@ -4,6 +4,10 @@ Act sequences are wrapped in START/END tokens, and adjacent duplicate act
 tokens are collapsed before counting or scoring: a trace never carries
 two adjacent segments with the same act after refinement, so the model
 normalizes every input to that invariant.
+
+Everything is computed on plain Python numbers. Transition counts are a sparse
+``Counter`` of (row, column) cells, and a perplexity is one ``math.fsum`` of
+count x log-probability over the cells a corpus counts.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import groupby
-from typing import TYPE_CHECKING, Optional, Sequence
+from itertools import chain, groupby, islice, repeat
+from operator import mul
+from typing import Optional, Sequence
 
 from .errors import (
     EmptyCorpus,
@@ -26,9 +31,6 @@ from .errors import (
 from .interpretations import InterpretationSpace
 from .ontology import NONE_ACT_ID, Ontology, is_eligible
 from .pipeline import DiscoTrace
-
-if TYPE_CHECKING:  # numpy is imported by the functions that compute with it
-    import numpy as np
 
 START = "<START>"
 END = "<END>"
@@ -47,7 +49,9 @@ class Smoothing:
 
 
 def _as_sequences(traces) -> list[list[str]]:
-    return [t.act_sequence() if isinstance(t, DiscoTrace) else list(t) for t in traces]
+    """Each trace's act ids: a list as it is, a ``DiscoTrace``'s act sequence, else a list."""
+    return [t if type(t) is list else t.act_sequence() if isinstance(t, DiscoTrace) else list(t)
+            for t in traces]
 
 
 def collapse_adjacent(tokens: Sequence[str]) -> list[str]:
@@ -62,56 +66,62 @@ def iter_transitions(sequences: list[list[str]]):
         yield from zip(tokens, tokens[1:])
 
 
-def transition_matrix(sequences: list[list[str]], vocabulary: Sequence[str]) -> np.ndarray:
-    """(|V|+1)x(|V|+1) counts of START-wrapped, collapsed transitions, START's row and
-    END's column last. A token outside ``vocabulary`` raises KeyError."""
-    import numpy as np
+_OPEN, _CLOSE = (object(),), (object(),)  # what wraps each sequence while it is counted
 
+
+def transition_matrix(sequences: list[list[str]], vocabulary: Sequence[str]) -> Counter:
+    """Counts of START-wrapped, collapsed transitions, as a sparse ``Counter`` of
+    (row, column) cells: row and column i stand for ``vocabulary[i]``, row |V| for START
+    and column |V| for END. A token outside ``vocabulary`` raises KeyError.
+
+    The corpus is coded as one flat list, each sequence between START (|V|) and END
+    (|V| + 1), and its adjacent pairs counted. Collapsing a run of one token drops
+    exactly its pairs of that token with itself, and a pair out of END joins one
+    sequence to the next, so both are left out."""
     n = len(vocabulary)
-    index = {tok: i for i, tok in enumerate(vocabulary)} | {START: n, END: n + 1}
-    codes = np.fromiter((index[tok] for seq in sequences for tok in (START, *seq, END)), np.int64)
-    codes = codes[np.diff(codes, prepend=-1) != 0]  # collapse adjacent repeats
-    prev, nxt = codes[:-1], codes[1:]
-    cells = prev * (n + 1) + np.minimum(nxt, n)
-    # An END code is never a context: its pair joins one sequence to the next.
-    return np.bincount(cells[prev != n + 1], minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
+    code = {tok: i for i, tok in enumerate(vocabulary)} | {_OPEN[0]: n, _CLOSE[0]: n + 1}
+    flat = list(map(code.__getitem__, chain.from_iterable(chain.from_iterable(
+        zip(repeat(_OPEN), sequences, repeat(_CLOSE))))))
+    pairs = Counter(zip(flat, islice(flat, 1, None)))
+    return Counter({(row, min(col, n)): count for (row, col), count in pairs.items()
+                    if row != col and row <= n})
 
 
 @dataclass
 class BigramModel:
+    """A training corpus's transition counts and their row totals; each probability is
+    worked out from them when it is asked for, so fitting stores nothing else."""
+
     vocabulary: tuple  # act tokens (incl. NONE); START/END are implicit
-    transitions: np.ndarray  # transition_matrix() of the training corpus
+    transitions: Counter  # transition_matrix() of the training corpus
     smoothing: Smoothing
     training_sequences: int
 
     def __post_init__(self):
-        import numpy as np
-
         n = len(self.vocabulary)
         self._index = {tok: i for i, tok in enumerate(self.vocabulary)} | {START: n, END: n}
-        # probs gets one more row, never trained, for contexts outside the vocabulary.
-        counts = np.vstack([self.transitions, np.zeros(len(self.transitions))])
-        totals = counts.sum(axis=1, keepdims=True)
-        lam = self.smoothing.lam if self.smoothing.mode == "add_lambda" else 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # An MLE row never seen in training is 0/0: it allows no next-token.
-            self.probs = np.nan_to_num((counts + lam) / (totals + lam * counts.shape[1]))
-            self.log_probs = np.log(self.probs[:-1])
+        # Row n + 1, never trained, stands for every context outside the vocabulary.
+        self._totals = [0] * (n + 2)
+        for (row, _), count in self.transitions.items():
+            self._totals[row] += count
 
     @property
     def counts(self) -> dict:
         """(prev, next) -> count of each transition seen in training."""
-        import numpy as np
-
         contexts, nexts = self.vocabulary + (START,), self.vocabulary + (END,)
-        return {(contexts[r], nexts[c]): int(self.transitions[r, c])
-                for r, c in zip(*np.nonzero(self.transitions))}
+        return {(contexts[r], nexts[c]): count
+                for (r, c), count in sorted(self.transitions.items())}
 
     @property
     def row_totals(self) -> dict:
         """prev -> number of training transitions out of it."""
-        totals = self.transitions.sum(axis=1)
-        return {tok: int(t) for tok, t in zip(self.vocabulary + (START,), totals) if t}
+        return {tok: t for tok, t in zip(self.vocabulary + (START,), self._totals) if t}
+
+    def _cell_probability(self, row: int, col: int) -> float:
+        """p(column | row) of one cell; an MLE row never seen in training allows none."""
+        lam = self.smoothing.lam if self.smoothing.mode == "add_lambda" else 0.0
+        denominator = self._totals[row] + lam * (len(self.vocabulary) + 1)
+        return (self.transitions[row, col] + lam) / denominator if denominator else 0.0
 
     def probability(self, prev: str, nxt: str) -> float:
         """Transition probability p(next | prev).
@@ -124,7 +134,8 @@ class BigramModel:
         col = self._index.get(nxt)
         if col is None and self.smoothing.mode != "mle":
             raise ValueError(f"token {nxt!r} outside model vocabulary")
-        p = 0.0 if col is None else float(self.probs[self._index.get(prev, -1), col])
+        row = self._index.get(prev, len(self.vocabulary) + 1)
+        p = 0.0 if col is None else self._cell_probability(row, col)
         if p == 0.0:
             raise ZeroProbabilityTransition(prev, nxt)
         return p
@@ -144,12 +155,13 @@ def fit_bigram(
     sequences = _as_sequences(traces)
     if not sequences:
         raise EmptyCorpus("need at least one trace")
-    observed = set().union(*sequences)
-    vocab = tuple(sorted(observed) if vocabulary is None else vocabulary)
-    missing = observed - set(vocab)
-    if missing:
-        raise ValueError(f"training tokens outside vocabulary: {sorted(missing)}")
-    return BigramModel(vocab, transition_matrix(sequences, vocab), smoothing, len(sequences))
+    vocab = tuple(sorted(set().union(*sequences)) if vocabulary is None else vocabulary)
+    try:
+        counts = transition_matrix(sequences, vocab)
+    except KeyError:
+        missing = set().union(*sequences).difference(vocab)
+        raise ValueError(f"training tokens outside vocabulary: {sorted(missing)}") from None
+    return BigramModel(vocab, counts, smoothing, len(sequences))
 
 
 def _raise_first_failure(model: BigramModel, sequences: list[list[str]]):
@@ -159,20 +171,27 @@ def _raise_first_failure(model: BigramModel, sequences: list[list[str]]):
     raise AssertionError("count matrix and transition walk disagree")
 
 
-def _perplexities(models: list[BigramModel], counts: list[np.ndarray], sequences) -> np.ndarray:
-    """exp(-<E_j, log P_i> / sum(E_j)) over the cells E_j counts, for every model
-    i and count matrix j; the corpus ``sequences[j]`` is walked only on error."""
-    import numpy as np
-
-    log_probs = np.stack([m.log_probs.ravel() for m in models])
-    totals = np.stack([c.ravel() for c in counts]).astype(float)
-    impossible = np.isneginf(log_probs)
-    unscorable = impossible.astype(float) @ (totals > 0).T
-    if unscorable.any():
-        i, j = np.argwhere(unscorable)[0]  # the first (model, corpus) in row-major order
-        _raise_first_failure(models[i], sequences[j])
-    nll = -(np.where(impossible, 0.0, log_probs) @ totals.T)
-    return np.exp(nll / totals.sum(axis=1))
+def _perplexities(models: list[BigramModel], counts: list[Counter], sequences) -> list[list]:
+    """exp(-sum(E_j * log P_i) / sum(E_j)) for every model i and count Counter E_j, the sum
+    taken by ``math.fsum`` over E_j's cells in E_j's own order. Pairs are scored in
+    row-major order; the first whose model gives one of its cells probability 0 walks
+    the corpus ``sequences[j]`` to name the transition. All models share one vocabulary."""
+    width = len(models[0].vocabulary) + 1
+    cells = [(r, c) for r in range(width) for c in range(width)]
+    # Each corpus's cells as indexes into ``cells``, with their counts and total.
+    corpora = [([r * width + c for r, c in e], list(e.values()), e.total()) for e in counts]
+    rows = []
+    for model in models:
+        log_p = [math.log(p) if p else -math.inf
+                 for p in (model._cell_probability(r, c) for r, c in cells)]
+        row = []
+        for (keys, values, total), seqs in zip(corpora, sequences):
+            log_likelihood = math.fsum(map(mul, values, map(log_p.__getitem__, keys)))
+            if log_likelihood == -math.inf:
+                _raise_first_failure(model, seqs)
+            row.append(math.exp(-log_likelihood / total))
+        rows.append(row)
+    return rows
 
 
 def perplexity(model: BigramModel, eval_traces) -> float:
@@ -185,20 +204,20 @@ def perplexity(model: BigramModel, eval_traces) -> float:
     if not set().union(*sequences) <= set(model.vocabulary):
         _raise_first_failure(model, sequences)
     counts = transition_matrix(sequences, model.vocabulary)
-    return float(_perplexities([model], [counts], [sequences])[0, 0])
+    return _perplexities([model], [counts], [sequences])[0][0]
 
 
 @dataclass
 class PerplexityMatrix:
     row_labels: list[str]  # training corpora
     col_labels: list[str]  # evaluation corpora
-    values: np.ndarray
+    values: list[list[float]]  # one row per training corpus
 
     def to_json(self) -> str:
         return json.dumps({
             "row_labels": self.row_labels,
             "col_labels": self.col_labels,
-            "values": self.values.tolist(),
+            "values": self.values,
         }, indent=2)
 
     def write_csv(self, handle) -> None:
@@ -211,9 +230,9 @@ class PerplexityMatrix:
         """Heatmap-ready long format: train,eval,perplexity."""
         writer = csv.writer(handle)
         writer.writerow(["train", "eval", "perplexity"])
-        for i, train in enumerate(self.row_labels):
-            for j, eval_name in enumerate(self.col_labels):
-                writer.writerow([train, eval_name, f"{self.values[i, j]:.6f}"])
+        for train, row in zip(self.row_labels, self.values):
+            for eval_name, value in zip(self.col_labels, row):
+                writer.writerow([train, eval_name, f"{value:.6f}"])
 
 
 def cross_perplexity_matrix(
@@ -250,13 +269,21 @@ class InterpretationMetrics:
     dedication: dict  # (answer_id, interpretation_id) -> fraction
 
 
+def _as_step_views(traces) -> list[tuple]:
+    """Each trace as ``(answer_id, question_id, [(act_id, interpretation_id), ...])``;
+    a trace already in that shape is kept as it is."""
+    return [(t.answer_id, t.question_id, [(s.act_id, s.interpretation_id) for s in t.steps])
+            if isinstance(t, DiscoTrace) else t for t in traces]
+
+
 def interpretation_metrics(
-    traces: list[DiscoTrace],
+    traces: list,
     spaces: dict[str, InterpretationSpace],
     ontology: Ontology,
     families: Optional[set] = None,
 ) -> InterpretationMetrics:
-    """Addressing metrics over traces. By default every
+    """Addressing metrics over traces, each a ``DiscoTrace`` or its
+    ``(answer_id, question_id, [(act_id, interpretation_id), ...])``. By default every
     interpretation-eligible act counts; pass ``families`` (e.g. {"AQ"}) to
     restrict the computation to acts from those families.
 
@@ -267,36 +294,36 @@ def interpretation_metrics(
     counted = frozenset(a.id for a in ontology.acts if is_eligible(ontology, a.id) and (
         families is None or a.family in families))
     known = frozenset(ontology.act_ids()) | {NONE_ACT_ID}
+    sizes = {question_id: len(space) for question_id, space in spaces.items()}
 
     coverage, matched_per_answer, eligible_per_answer, dedication = {}, {}, {}, {}
     total_eligible = total_unmatched = 0
 
-    for trace in traces:
-        if trace.question_id not in spaces:
+    for answer_id, question_id, steps in _as_step_views(traces):
+        size = sizes.get(question_id)
+        if size is None:
             raise UnknownSpaceReference(
-                f"trace {trace.answer_id!r} references unknown question {trace.question_id!r}"
+                f"trace {answer_id!r} references unknown question {question_id!r}"
             )
         eligible = 0
         per_interp = {}  # interpretation id -> eligible steps addressing it
-        for step in trace.steps:
-            if step.act_id in counted:
+        for act_id, iid in steps:
+            if act_id in counted:
                 eligible += 1
-                if step.interpretation_id is not None:
-                    per_interp[step.interpretation_id] = per_interp.get(
-                        step.interpretation_id, 0) + 1
-            elif step.act_id not in known:
-                ontology.get(step.act_id)  # raises UnknownActId
+                if iid is not None:
+                    per_interp[iid] = per_interp.get(iid, 0) + 1
+            elif act_id not in known:
+                ontology.get(act_id)  # raises UnknownActId
         matched = sum(per_interp.values())
-        matched_per_answer[trace.answer_id] = matched
-        eligible_per_answer[trace.answer_id] = eligible
+        matched_per_answer[answer_id] = matched
+        eligible_per_answer[answer_id] = eligible
         total_eligible += eligible
         total_unmatched += eligible - matched
 
-        size = len(spaces[trace.question_id])
         if size >= 2:
-            coverage[trace.answer_id] = len(per_interp) / size
+            coverage[answer_id] = len(per_interp) / size
         for iid, count in per_interp.items():
-            dedication[(trace.answer_id, iid)] = count / eligible
+            dedication[(answer_id, iid)] = count / eligible
 
     unmatched_rate = total_unmatched / total_eligible if total_eligible else 0.0
     return InterpretationMetrics(coverage, unmatched_rate, matched_per_answer,
@@ -320,6 +347,10 @@ def _addressed_sets(traces: list[DiscoTrace]) -> dict[str, list[set]]:
     return by_question
 
 
+def _mean(values: list[float]) -> float:
+    return math.fsum(values) / len(values) if values else math.nan
+
+
 def overanswering_bins(
     human_traces: list[DiscoTrace],
     model_traces: list[DiscoTrace],
@@ -328,8 +359,6 @@ def overanswering_bins(
 ) -> list[OveranswerBin]:
     """Bin interpretations by human addressing frequency; report the mean
     model addressing probability per bin."""
-    import numpy as np
-
     human = _addressed_sets(human_traces)
     model = _addressed_sets(model_traces)
     if set(human) != set(model):
@@ -345,10 +374,11 @@ def overanswering_bins(
             m = sum(member.id in s for s in model_answers) / len(model_answers)
             points.append((h, m))
 
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    # np.linspace(0, 1, n_bins + 1) bit for bit: a frequency equal to an edge decides its bin.
+    edges = [b * (1.0 / n_bins) for b in range(n_bins)] + [1.0]
     bins = []
     for b in range(n_bins):
-        lo, hi = float(edges[b]), float(edges[b + 1])
+        lo, hi = edges[b], edges[b + 1]
         members = [
             (h, m) for h, m in points
             if (lo <= h < hi) or (b == n_bins - 1 and h == hi)
@@ -357,8 +387,8 @@ def overanswering_bins(
             lo=lo,
             hi=hi,
             n_interpretations=len(members),
-            human_mean=float(np.mean([h for h, _ in members])) if members else float("nan"),
-            model_mean=float(np.mean([m for _, m in members])) if members else float("nan"),
+            human_mean=_mean([h for h, _ in members]),
+            model_mean=_mean([m for _, m in members]),
         ))
     return bins
 
@@ -416,15 +446,13 @@ def chi_squared_2x2(table) -> tuple[float, float]:
     Returns (statistic, p). When a row or column margin is zero the test
     is undefined; returns (0.0, 1.0).
     """
-    import numpy as np
-
-    (a, b), (c, d) = np.asarray(table, dtype=float)
+    (a, b), (c, d) = (map(float, row) for row in table)
     margins = (a + b, c + d, a + c, b + d)
     if 0 in margins:
         return 0.0, 1.0
     stat = (a + b + c + d) * (a * d - b * c) ** 2 / math.prod(margins)
     # Survival function of chi-squared with one degree of freedom.
-    return float(stat), math.erfc(math.sqrt(stat / 2))
+    return stat, math.erfc(math.sqrt(stat / 2))
 
 
 def act_proportion_test(

@@ -10,7 +10,6 @@ import random
 import socket
 import time
 
-import numpy as np
 import pytest
 
 from discotrace import (
@@ -171,15 +170,15 @@ def test_criterion_05_cross_perplexity_structure():
         "q": [["C", "D", "C", "D"], ["D", "C"], ["C", "D"]],
     }
     mat = cross_perplexity_matrix(disjoint, smoothing)
-    assert mat.values[0, 1] > mat.values[0, 0]
-    assert mat.values[1, 0] > mat.values[1, 1]
+    assert mat.values[0][1] > mat.values[0][0]
+    assert mat.values[1][0] > mat.values[1][1]
 
     identical = {
         "p": [["A", "B"], ["B", "A", "B"]],
         "q": [["A", "B"], ["B", "A", "B"]],
     }
     mat = cross_perplexity_matrix(identical, smoothing)
-    spread = mat.values.max() - mat.values.min()
+    spread = max(map(max, mat.values)) - min(map(min, mat.values))
     assert spread < 1e-12
 
 

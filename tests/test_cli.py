@@ -25,6 +25,7 @@ from discotrace import gateway
 from discotrace.cli import main
 from discotrace.config import PipelineConfig
 from discotrace.corpus import read_corpus, write_corpus
+from discotrace.errors import TransportError, UnparsableResponse
 from discotrace.gateway import append_fixture, request_digest, text_digest
 from discotrace.interpretations import Interpretation, InterpretationSpace
 from discotrace.interpretations import build_space
@@ -1176,9 +1177,8 @@ def test_a_live_call_loads_no_third_party_http_client():
     assert stats.posts == 1
 
 
-@pytest.mark.parametrize("command", ["trace", "segment", "filter", "sample", "metrics",
-                                     "interp"])
-def test_a_command_that_computes_no_statistics_never_loads_numpy(tmp_path, command):
+def assert_never_loads_numpy(tmp_path, command):
+    """Run ``command`` in a fresh interpreter on inputs where it succeeds; numpy stays out."""
     questions, answers, spaces, fixture, config_path, space = make_trace_inputs(tmp_path)
     seed_trace_fixture(fixture, space)
     interp_fixture, interp_config = tmp_path / "interp.jsonl", tmp_path / "interp.json"
@@ -1197,6 +1197,14 @@ def test_a_command_that_computes_no_statistics_never_loads_numpy(tmp_path, comma
                        "comments": [{"comment_id": f"c{i}", "text": "t", "score": 3}
                                     for i in range(6)]}])
     write_jsonl(traces, [trace_record("a1", "q1", ["action_AQ_assert_answer"])])
+    mimic_config, guidelines = tmp_path / "mimic.json", tmp_path / "rules.md"
+    mimic_config.write_text(json.dumps({"answer_generator": {
+        **mock, "name": "gen", "model": "m", "fixture_path": "mimic.jsonl"}}))
+    guidelines.write_text("Be thorough.")
+    request = build_mimic_prompt(question="Why is the sky blue?", subreddit_name="s",
+                                 subreddit_explanation="e", guidelines="Be thorough.",
+                                 model_name="m", max_tokens=1000)
+    append_fixture(tmp_path / "mimic.jsonl", request_digest(request), "Rayleigh scattering.")
     args = {
         "trace": ["--in", answers, "--questions", questions, "--spaces", spaces,
                   "--out", out, "--config", config_path],
@@ -1205,6 +1213,12 @@ def test_a_command_that_computes_no_statistics_never_loads_numpy(tmp_path, comma
         "sample": ["--in", questions, "--out", out, "--n", 1],
         "metrics": ["--in", traces, "--spaces", spaces, "--out", out],
         "interp": ["--in", questions, "--out", out, "--config", interp_config],
+        "model": ["--in", traces, "--out", out],
+        "compare": ["--corpora", f"a={traces}", "--corpora", f"b={traces}", "--out", out,
+                    "--json-out", tmp_path / "matrix.json"],
+        "mimic-answer": ["--in", questions, "--out", out, "--config", mimic_config,
+                         "--subreddit", "s", "--explanation", "e",
+                         "--guidelines-file", guidelines],
     }[command]
     # main() ends in sys.exit, so the check runs at exit; a failed command exits nonzero.
     result = run_python("import atexit, sys\n"
@@ -1213,6 +1227,18 @@ def test_a_command_that_computes_no_statistics_never_loads_numpy(tmp_path, comma
                         "main()", command, *args)
     assert result.stdout.splitlines()[-1] == "False", result.stdout
     assert out.exists()
+
+
+@pytest.mark.parametrize("command", ["trace", "segment", "filter", "sample", "metrics",
+                                     "interp"])
+def test_a_command_that_computes_no_statistics_never_loads_numpy(tmp_path, command):
+    assert_never_loads_numpy(tmp_path, command)
+
+
+@pytest.mark.parametrize("command", ["model", "compare", "mimic-answer"])
+def test_no_other_command_loads_numpy_either(tmp_path, command):
+    # With the test above, every subcommand: the statistics run on plain Python numbers.
+    assert_never_loads_numpy(tmp_path, command)
 
 
 @pytest.mark.parametrize("command", ["filter", "model", "compare", "metrics", "mimic-answer"])
@@ -1261,6 +1287,28 @@ def test_every_file_a_command_opens_is_utf8(tmp_path, monkeypatch, command):
                "from discotrace.cli import main\n"
                "main()", command, *args)
     assert out.exists()
+
+
+def test_model_writes_the_counts_of_a_fixed_corpus(tmp_path):
+    src, out = tmp_path / "traces.jsonl", tmp_path / "model.json"
+    assert_, example = "action_AQ_assert_answer", "action_AQ_provide_example"
+    write_jsonl(src, [trace_record("a1", "q1", [assert_, assert_, example]),
+                      trace_record("a2", "q1", [example]),
+                      trace_record("a3", "q1", []),
+                      trace_record("a4", "q1", ["NONE", "NONE"])])
+    result = invoke("model", "--in", str(src), "--out", str(out))
+    assert result.exit_code == 0, result.output
+    doc = json.loads(out.read_text())
+    assert doc["counts"] == [
+        ["<START>", "<END>", 1],
+        ["<START>", "NONE", 1],
+        ["<START>", assert_, 1],
+        ["<START>", example, 1],
+        ["NONE", "<END>", 1],
+        [assert_, example, 1],
+        [example, "<END>", 2],
+    ]
+    assert doc["training_sequences"] == 4
 
 
 @pytest.mark.parametrize("command, flags", [("compare", []), ("compare", ["--family-level"]),
@@ -1411,6 +1459,27 @@ def test_an_empty_live_mimic_reply_is_asked_again(tmp_path):
     assert json.loads(out.read_text())["answer_text"] == "Because of scattering."
 
 
+@pytest.mark.parametrize("status, content, error", [(200, " ", UnparsableResponse),
+                                                    (503, "Because.", TransportError)])
+def test_mimic_keeps_the_type_of_a_failed_ask(tmp_path, status, content, error):
+    # A reply that never parses stays an UnparsableResponse, as generate_raw raises it.
+    questions, rules = tmp_path / "questions.jsonl", tmp_path / "rules.md"
+    write_jsonl(questions, [{"post_id": "q0", "title": "Why is the sky blue?"}])
+    rules.write_text("Be thorough.")
+    config = tmp_path / "config.json"
+    reply = {"choices": [{"message": {"content": content}}]}
+    with http_stub(lambda body: (status, reply)) as (endpoint, stats):
+        config.write_text(json.dumps({"answer_generator": {
+            "kind": "live", "endpoint": endpoint, "name": "gen", "model": "m",
+            "retry_limit": 0}}))
+        with pytest.raises(error) as raised:
+            cli.mimic_cmd.callback(str(questions), str(tmp_path / "out.jsonl"), str(config),
+                                   "s", "e", str(rules), 1000)
+    assert type(raised.value) is error
+    assert str(raised.value).startswith("question 'q0': ")
+    assert stats.posts == 1
+
+
 @pytest.mark.parametrize("title", [None, 7, "  "])
 def test_mimic_names_a_question_that_is_not_text(tmp_path, title):
     (tmp_path / "gen.jsonl").touch()
@@ -1520,12 +1589,17 @@ BAD_INTERP_REPLIES = [
      "embedding reply is not a list of number vectors"),
     ("1. First?\n2. Second?", None, "embedding reply has 1 vectors for 4 texts"),
     ("garbage reply", [], "neither NONE nor a numbered list"),
+    *[("1. First?\n2. Second?", [vector, "[1.0, 0.0]"],
+       "embedding reply is not a list of number vectors")
+      for vector in ("[NaN, 0.0]", "[Infinity, 0.0]", "[0.0, -Infinity]",
+                     "[1" + "0" * 400 + ", 0.0]")],
 ]
 
 
 @pytest.mark.parametrize("reply, embeddings, reason", BAD_INTERP_REPLIES,
                          ids=["mixed-dimensions", "not-a-vector", "live-vector-short",
-                              "unparsable"])
+                              "unparsable", "nan", "infinity", "minus-infinity",
+                              "int-too-large-for-a-float"])
 def test_interp_exits_2_and_names_the_question_on_a_bad_reply(tmp_path, reply, embeddings,
                                                               reason):
     questions = tmp_path / "questions.jsonl"

@@ -226,6 +226,14 @@ def test_mock_embedding_dimension_mismatch(tmp_path):
         embed(backend, ["a", "b"])
 
 
+def test_an_embedding_of_finite_numbers_passes_unchanged(tmp_path):
+    fixture = tmp_path / "emb.jsonl"
+    append_fixture(fixture, text_digest("emb-model", "a"), "[1, -1.7976931348623157e308, 0.5]")
+    backend = BackendSpec(kind="mock", model="emb-model", fixture_path=str(fixture))
+    [vector] = embed(backend, ["a"])
+    assert vector == [1, -1.7976931348623157e308, 0.5] and type(vector[0]) is int
+
+
 def test_backend_spec_validation():
     with pytest.raises(ValueError):
         BackendSpec(kind="weird")

@@ -168,16 +168,16 @@ def test_cross_perplexity_matrix_shape_and_labels():
     mat = cross_perplexity_matrix(corpora, smoothing=Smoothing())
     assert mat.row_labels == ["x", "y"]
     assert mat.col_labels == ["x", "y"]
-    assert mat.values.shape == (2, 2)
+    assert [len(row) for row in mat.values] == [2, 2]
     direct = perplexity(fit_bigram(corpora["x"], smoothing=Smoothing()), corpora["y"])
-    assert mat.values[0, 1] == pytest.approx(direct, abs=1e-12)
+    assert mat.values[0][1] == pytest.approx(direct, abs=1e-12)
 
 
 def test_cross_perplexity_identical_corpora_rows_equal():
     corpora = {"x": [["A", "B"]], "y": [["A", "B"]]}
     mat = cross_perplexity_matrix(corpora, smoothing=Smoothing())
-    assert abs(mat.values[0, 0] - mat.values[0, 1]) < 1e-12
-    assert abs(mat.values[1, 0] - mat.values[1, 1]) < 1e-12
+    assert abs(mat.values[0][0] - mat.values[0][1]) < 1e-12
+    assert abs(mat.values[1][0] - mat.values[1][1]) < 1e-12
 
 
 def test_matrix_serialization(tmp_path):
@@ -187,7 +187,7 @@ def test_matrix_serialization(tmp_path):
     mat = cross_perplexity_matrix(corpora, smoothing=Smoothing())
     doc = json.loads(mat.to_json())
     assert doc["row_labels"] == ["x", "y"]
-    assert doc["values"][0][0] == pytest.approx(mat.values[0, 0])
+    assert doc["values"][0][0] == pytest.approx(mat.values[0][0])
     wide = tmp_path / "m.csv"
     with wide.open("w", newline="") as handle:
         mat.write_csv(handle)
@@ -243,7 +243,7 @@ def test_cross_perplexity_matches_transition_walk(corpora, lam, vocabulary):
     for i, train in enumerate(corpora):
         for j, evaluate in enumerate(corpora):
             expected = walk_perplexity(train, evaluate, smoothing, vocab)
-            assert mat.values[i, j] == pytest.approx(expected, rel=1e-12)
+            assert mat.values[i][j] == pytest.approx(expected, rel=1e-12)
 
 
 @given(st.lists(corpus_strategy, min_size=1, max_size=4),
@@ -510,6 +510,31 @@ def test_overanswering_last_bin_includes_one():
     assert bins[-1].n_interpretations == 1
     assert all(b.n_interpretations == 0 for b in bins[:-1])
     assert math.isnan(bins[0].human_mean)
+
+
+def test_overanswering_bins_match_numpy_linspace_and_mean():
+    # Human frequencies k/60 for k = 1..60 fall on many bin edges; an edge decides its bin.
+    n_ids = 60
+    spaces = {"q1": space("q1", n_ids)}
+    human = [trace(f"h{i}", "q1", [(ELIGIBLE, f"id_{j}") for j in range(1, i + 2)])
+             for i in range(n_ids)]
+    model = [trace(f"m{i}", "q1", [(ELIGIBLE, f"id_{j}") for j in range(1, n_ids + 1)
+                                   if (i * j) % 7 < 3])
+             for i in range(45)]
+    points = [(sum(j <= i + 1 for i in range(n_ids)) / n_ids,
+               sum((i * j) % 7 < 3 for i in range(45)) / 45) for j in range(1, n_ids + 1)]
+    for n_bins in range(1, 51):
+        bins = overanswering_bins(human, model, spaces, n_bins=n_bins)
+        edges = np.linspace(0.0, 1.0, n_bins + 1)
+        assert [b.lo for b in bins] + [bins[-1].hi] == edges.tolist()
+        for b, lo, hi in zip(bins, edges[:-1], edges[1:]):
+            members = [(h, m) for h, m in points if lo <= h < hi or (hi == 1.0 and h == 1.0)]
+            assert b.n_interpretations == len(members)
+            if members:
+                assert abs(b.human_mean - np.mean([h for h, _ in members])) <= 1e-12
+                assert abs(b.model_mean - np.mean([m for _, m in members])) <= 1e-12
+            else:
+                assert math.isnan(b.human_mean) and math.isnan(b.model_mean)
 
 
 # ---------------------------------------------------------------------------
