@@ -12,17 +12,19 @@ run at once as there are slots, so one record's backoff leaves no slot idle.
 With none live they run one record at a time in the calling thread, as
 ``segment`` does. Each record is written to ``--out``, and flushed, as soon as it
 and every record before it are done, so a run that fails or is killed leaves the
-records finished before that point. Ctrl-C exits 130.
+records finished before that point. Ctrl-C exits 130. A usage error (a missing or
+unknown option, a value of the wrong type, no subcommand) is an input error, exit 1.
+The command line is parsed by the standard library's ``argparse``: no option may be
+abbreviated, and only ``--help`` asks for help.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
 from typing import Iterator
-
-import click
 
 from . import corpus as corpus_io
 from . import gateway
@@ -43,21 +45,6 @@ from .stats import (
 )
 
 _BACKEND_ERRORS = (TransportError, AuthError, FixtureMiss, UnparsableResponse)
-
-
-class _ExitCodes(click.Group):
-    """Maps every subcommand's errors to exit codes: 2 backend failure, 1 input error,
-    130 Ctrl-C (click's own handling would exit 1)."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except corpus_io.INPUT_ERRORS as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2 if isinstance(exc, _BACKEND_ERRORS) else 1)
-        except KeyboardInterrupt:
-            click.echo("interrupted", err=True)
-            sys.exit(130)
 
 
 def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> Iterator[dict]:
@@ -107,15 +94,73 @@ def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> Iterato
             yield result
 
 
-@click.group(cls=_ExitCodes)
-def main():
-    """Discourse-trace answer analysis toolkit."""
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that accepts no abbreviated option and no ``-h``, and raises
+    a usage error as a ``ValueError``, an input error (exit 1)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
-@main.command("filter")
-@click.option("--in", "in_path", required=True, help="Raw posts JSONL.")
-@click.option("--out", "out_path", required=True, help="Kept questions JSONL.")
-@click.option("--tally-out", default=None, help="Per-rule rejection tally JSON.")
+_COMMANDS: dict = {}  # subcommand name -> its function, whose options ``_option`` listed
+
+
+def _command(name):
+    """Register the decorated function as subcommand ``name``."""
+    def register(fn):
+        _COMMANDS[name] = fn
+        return fn
+    return register
+
+
+def _option(flag, dest=None, **kwargs):
+    """Give the decorated subcommand the option ``flag``: ``add_argument``'s arguments,
+    listed in the order the decorators are written."""
+    def add(fn):
+        fn.options = [(flag, dict(kwargs, dest=dest)), *getattr(fn, "options", ())]
+        return fn
+    return add
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="discotrace", description="Discourse-trace answer analysis toolkit.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, fn in _COMMANDS.items():
+        command = commands.add_parser(name, help=fn.__doc__.partition("\n")[0],
+                                      description=fn.__doc__)
+        for flag, kwargs in fn.options:
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(run=fn)
+    return parser
+
+
+def main(argv=None) -> None:
+    """Run the subcommand that ``argv`` (default ``sys.argv[1:]``) names, and return.
+    Errors exit as the module docstring says: 2 on a backend failure, 1 on an input error
+    (a usage error is one), 130 on Ctrl-C."""
+    try:
+        args = vars(_parser().parse_args(argv))
+        args.pop("run")(**args)
+    except corpus_io.INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2 if isinstance(exc, _BACKEND_ERRORS) else 1)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        sys.exit(130)
+
+
+# The calling form that perfbench/traced_cli.py uses: main.main(args=..., prog_name=..., ...).
+main.main = lambda args=None, prog_name=None, standalone_mode=True: main(args)
+
+
+@_command("filter")
+@_option("--in", "in_path", required=True, help="Raw posts JSONL.")
+@_option("--out", "out_path", required=True, help="Kept questions JSONL.")
+@_option("--tally-out", default=None, help="Per-rule rejection tally JSON.")
 def filter_cmd(in_path, out_path, tally_out):
     """Apply the question-quality filters to a raw post dump."""
     posts = corpus_io.read_corpus(in_path, view=corpus_io.RawPost.from_dict)
@@ -138,26 +183,26 @@ def filter_cmd(in_path, out_path, tally_out):
     corpus_io.write_corpus(out_path, out_records)
     if tally_out:
         Path(tally_out).write_text(json.dumps(tally, indent=2), encoding="utf-8")
-    click.echo(f"kept {len(out_records)} of {len(posts)} posts")
+    print(f"kept {len(out_records)} of {len(posts)} posts")
 
 
-@main.command("sample")
-@click.option("--in", "in_path", required=True)
-@click.option("--out", "out_path", required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--seed", type=int, default=0)
+@_command("sample")
+@_option("--in", "in_path", required=True)
+@_option("--out", "out_path", required=True)
+@_option("--n", type=int, required=True)
+@_option("--seed", type=int, default=0)
 def sample_cmd(in_path, out_path, n, seed):
     """Uniformly sample questions without replacement."""
     records = corpus_io.read_corpus(in_path)
     sampled = corpus_io.sample_questions(records, n, seed)
     corpus_io.write_corpus(out_path, sampled)
-    click.echo(f"sampled {n} of {len(records)} records (seed {seed})")
+    print(f"sampled {n} of {len(records)} records (seed {seed})")
 
 
-@main.command("segment")
-@click.option("--in", "in_path", required=True, help="Answers JSONL with rst_tree.")
-@click.option("--out", "out_path", required=True)
-@click.option("--config", "config_path", default=None)
+@_command("segment")
+@_option("--in", "in_path", required=True, help="Answers JSONL with rst_tree.")
+@_option("--out", "out_path", required=True)
+@_option("--config", "config_path", default=None)
 def segment_cmd(in_path, out_path, config_path):
     """Split each answer's discourse tree into action segments."""
     config = PipelineConfig.from_file(config_path)
@@ -172,13 +217,13 @@ def segment_cmd(in_path, out_path, config_path):
         }
 
     count = sum(1 for _ in _run_batch(in_path, out_path, run_one, "answer", "answer_id"))
-    click.echo(f"segmented {count} answers")
+    print(f"segmented {count} answers")
 
 
-@main.command("interp")
-@click.option("--in", "in_path", required=True, help="Questions JSONL.")
-@click.option("--out", "out_path", required=True, help="Interpretation spaces JSONL.")
-@click.option("--config", "config_path", required=True)
+@_command("interp")
+@_option("--in", "in_path", required=True, help="Questions JSONL.")
+@_option("--out", "out_path", required=True, help="Interpretation spaces JSONL.")
+@_option("--config", "config_path", required=True)
 def interp_cmd(in_path, out_path, config_path):
     """Generate and deduplicate the interpretation space per question."""
     config = PipelineConfig.from_file(config_path)
@@ -201,15 +246,15 @@ def interp_cmd(in_path, out_path, config_path):
 
     count = sum(1 for _ in _run_batch(in_path, out_path, run_one, "question", "post_id",
                                       [*config.interp_generators, config.embedder]))
-    click.echo(f"built {count} interpretation spaces")
+    print(f"built {count} interpretation spaces")
 
 
-@main.command("trace")
-@click.option("--in", "in_path", required=True, help="Answers JSONL with rst_tree.")
-@click.option("--questions", "questions_path", required=True, help="Questions JSONL.")
-@click.option("--spaces", "spaces_path", default=None, help="Interpretation spaces JSONL.")
-@click.option("--out", "out_path", required=True, help="Traces JSONL.")
-@click.option("--config", "config_path", required=True)
+@_command("trace")
+@_option("--in", "in_path", required=True, help="Answers JSONL with rst_tree.")
+@_option("--questions", "questions_path", required=True, help="Questions JSONL.")
+@_option("--spaces", "spaces_path", default=None, help="Interpretation spaces JSONL.")
+@_option("--out", "out_path", required=True, help="Traces JSONL.")
+@_option("--config", "config_path", required=True)
 def trace_cmd(in_path, questions_path, spaces_path, out_path, config_path):
     """Produce the full discourse trace for each answer."""
     config = PipelineConfig.from_file(config_path)
@@ -245,7 +290,7 @@ def trace_cmd(in_path, questions_path, spaces_path, out_path, config_path):
                              [config.act_labeler, labeler]):
         count += 1
         n_diag += len(record["diagnostics"])
-    click.echo(f"traced {count} answers ({n_diag} diagnostics)")
+    print(f"traced {count} answers ({n_diag} diagnostics)")
 
 
 def _raise_unknown_act_id(ontology, known: frozenset, ids: list):
@@ -310,12 +355,12 @@ def _smoothing_from_flag(flag, config):
     raise ValueError(f"unknown smoothing {flag!r} (use 'mle' or 'add_lambda[:LAM]')")
 
 
-@main.command("model")
-@click.option("--in", "in_path", required=True, help="Traces JSONL.")
-@click.option("--out", "out_path", required=True, help="Model JSON.")
-@click.option("--config", "config_path", default=None)
-@click.option("--smoothing", "smoothing_flag", default=None)
-@click.option("--family-level", is_flag=True, default=False)
+@_command("model")
+@_option("--in", "in_path", required=True, help="Traces JSONL.")
+@_option("--out", "out_path", required=True, help="Model JSON.")
+@_option("--config", "config_path", default=None)
+@_option("--smoothing", "smoothing_flag", default=None)
+@_option("--family-level", action="store_true")
 def model_cmd(in_path, out_path, config_path, smoothing_flag, family_level):
     """Fit a bigram strategy model over act sequences."""
     config = PipelineConfig.from_file(config_path)
@@ -330,19 +375,19 @@ def model_cmd(in_path, out_path, config_path, smoothing_flag, family_level):
         "smoothing": {"mode": smoothing.mode, "lambda": smoothing.lam},
         "training_sequences": model.training_sequences,
     }, indent=2), encoding="utf-8")
-    click.echo(f"fit bigram model over {model.training_sequences} traces")
+    print(f"fit bigram model over {model.training_sequences} traces")
 
 
-@main.command("compare")
-@click.option("--corpora", multiple=True, required=True,
+@_command("compare")
+@_option("--corpora", action="append", required=True,
               help="NAME=path pairs, split at the first '=' (or bare paths, named by "
                    "stem; an existing path is never split).")
-@click.option("--out", "out_path", required=True, help="Output CSV path.")
-@click.option("--json-out", default=None)
-@click.option("--long-csv-out", default=None)
-@click.option("--config", "config_path", default=None)
-@click.option("--smoothing", "smoothing_flag", default=None)
-@click.option("--family-level", is_flag=True, default=False)
+@_option("--out", "out_path", required=True, help="Output CSV path.")
+@_option("--json-out", default=None)
+@_option("--long-csv-out", default=None)
+@_option("--config", "config_path", default=None)
+@_option("--smoothing", "smoothing_flag", default=None)
+@_option("--family-level", action="store_true")
 def compare_cmd(corpora, out_path, json_out, long_csv_out, config_path,
                 smoothing_flag, family_level):
     """Cross-perplexity matrix across trace corpora."""
@@ -369,14 +414,14 @@ def compare_cmd(corpora, out_path, json_out, long_csv_out, config_path,
     if long_csv_out:
         with open(long_csv_out, "w", encoding="utf-8", newline="") as handle:
             matrix.write_long_csv(handle)
-    click.echo(f"wrote {len(named)}x{len(named)} cross-perplexity matrix")
+    print(f"wrote {len(named)}x{len(named)} cross-perplexity matrix")
 
 
-@main.command("metrics")
-@click.option("--in", "in_path", required=True, help="Traces JSONL.")
-@click.option("--spaces", "spaces_path", required=True)
-@click.option("--out", "out_path", required=True, help="Metrics JSON.")
-@click.option("--config", "config_path", default=None)
+@_command("metrics")
+@_option("--in", "in_path", required=True, help="Traces JSONL.")
+@_option("--spaces", "spaces_path", required=True)
+@_option("--out", "out_path", required=True, help="Metrics JSON.")
+@_option("--config", "config_path", default=None)
 def metrics_cmd(in_path, spaces_path, out_path, config_path):
     """Coverage, dedication, and unmatched-rate aggregates.
 
@@ -400,7 +445,7 @@ def metrics_cmd(in_path, spaces_path, out_path, config_path):
             for (aid, iid), value in report.dedication.items()
         },
     }), encoding="utf-8")
-    click.echo(f"computed metrics for {len(traces)} traces")
+    print(f"computed metrics for {len(traces)} traces")
 
 
 def _two_level_json(doc: dict) -> str:
@@ -421,14 +466,14 @@ def _nonempty_text(reply: str) -> str:
     return reply
 
 
-@main.command("mimic-answer")
-@click.option("--in", "in_path", required=True, help="Questions JSONL.")
-@click.option("--out", "out_path", required=True, help="Generated answers JSONL.")
-@click.option("--config", "config_path", required=True)
-@click.option("--subreddit", required=True)
-@click.option("--explanation", required=True)
-@click.option("--guidelines-file", required=True, type=click.Path(exists=True))
-@click.option("--max-tokens", type=int, default=1000)
+@_command("mimic-answer")
+@_option("--in", "in_path", required=True, help="Questions JSONL.")
+@_option("--out", "out_path", required=True, help="Generated answers JSONL.")
+@_option("--config", "config_path", required=True)
+@_option("--subreddit", required=True)
+@_option("--explanation", required=True)
+@_option("--guidelines-file", required=True)
+@_option("--max-tokens", type=int, default=1000)
 def mimic_cmd(in_path, out_path, config_path, subreddit, explanation,
               guidelines_file, max_tokens):
     """Generate answers as a member of a community, via its guidelines."""
@@ -455,7 +500,7 @@ def mimic_cmd(in_path, out_path, config_path, subreddit, explanation,
 
     count = sum(1 for _ in _run_batch(in_path, out_path, run_one, "question", "post_id",
                                       [backend]))
-    click.echo(f"generated {count} mimic answers")
+    print(f"generated {count} mimic answers")
 
 
 if __name__ == "__main__":

@@ -14,13 +14,16 @@ backends replay recorded fixtures: JSONL lines of
 ``{"request_digest": ..., "response_text": ...}`` keyed by a SHA-256
 digest of the request's canonical JSON, so replays are deterministic and
 byte-stable. The digest is unchanged from earlier versions, but a request
-built from a per-answer prompt head hashes only its own tail after the head.
+built from a per-answer prompt head hashes only its own tail after the head,
+and the prefix that every head of one system, model, temperature and
+``max_tokens`` shares is hashed once per process.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -28,6 +31,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring  # json.dumps(s, ensure_ascii=False), no encoder built
 from typing import Optional
 from urllib.parse import urlsplit
 
@@ -35,7 +39,7 @@ from .corpus import INPUT_ERRORS, input_error, read_fields, read_lines, typed
 from .errors import (
     AuthError, EmbeddingDimensionMismatch, FixtureMiss, TransportError, UnparsableResponse,
 )
-from .prompts import ChatRequest
+from .prompts import ChatRequest, PromptHead
 
 DEFAULT_CONTENT_PATH = ("choices", 0, "message", "content")
 DEFAULT_EMBEDDING_PATH = ("data",)
@@ -98,19 +102,33 @@ def _canonical(request) -> str:
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _prefix_state(system: str, values: str):
+    """SHA-256 state of the canonical JSON of a request with ``system`` and ``values``, the
+    JSON text of ``[model_name, temperature, max_tokens]``, up to the '"' that opens "user".
+    It is keyed by that text, not by the values: ``1``, ``1.0`` and ``True`` are equal in
+    Python but serialise differently. Callers copy it."""
+    prefix = _canonical(PromptHead(system, "", *json.loads(values)))[:-2]
+    return hashlib.sha256(prefix.encode("utf-8", "surrogatepass"))
+
+
 def request_digest(request: ChatRequest) -> str:
     """Stable SHA-256 digest of a chat request's canonical JSON form. "user" is its
     last key and JSON escapes one character at a time, so a request built by a
-    ``PromptHead`` hashes only the rest of ``user``, on a copy of the head's state.
+    ``PromptHead`` hashes only the rest of ``user``, on a copy of the head's state, and
+    the head's state starts from a copy of the prefix before "user", hashed once per
+    process for each system, model, temperature and ``max_tokens``.
     Text is encoded with ``surrogatepass``: JSON input can carry a lone surrogate."""
     head = request.head
     if head is None:
         return hashlib.sha256(_canonical(request).encode("utf-8", "surrogatepass")).hexdigest()
     if head.digest_state is None:  # the head's canonical form, less its closing '"}'
-        state = hashlib.sha256(_canonical(head)[:-2].encode("utf-8", "surrogatepass"))
+        values = json.dumps([head.model_name, head.temperature, head.max_tokens])
+        state = _prefix_state(head.system, values).copy()
+        state.update(encode_basestring(head.user)[1:-1].encode("utf-8", "surrogatepass"))
         object.__setattr__(head, "digest_state", state)
     state = head.digest_state.copy()
-    tail = json.dumps(request.user[len(head.user):], ensure_ascii=False)
+    tail = encode_basestring(request.user[len(head.user):])
     state.update((tail[1:] + "}").encode("utf-8", "surrogatepass"))
     return state.hexdigest()
 

@@ -1,9 +1,11 @@
 """Shared fixtures and builders for the test suite."""
 
 import contextlib
+import io
 import json
 import random
 import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -12,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import strategies as st
 
-from discotrace import load_ontology
+from discotrace import cli, load_ontology
 from discotrace.errors import FixtureMiss
 from discotrace.gateway import append_fixture
 from discotrace.rst import RELATIONS, NUCLEARITIES
@@ -155,3 +157,24 @@ def http_stub(respond, delay_s=0.0):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def invoke_cli(args):
+    """Run ``cli.main(args)`` in this process. The result holds ``exit_code``, ``stdout``,
+    ``stderr``, ``output`` (both streams), and ``exception`` and ``exc_info``: the
+    ``SystemExit`` of a non-zero exit, or an uncaught exception, which exits 1."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    exit_code, exc_info = 0, None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            cli.main(list(args))
+        except SystemExit as exc:
+            exit_code = exc.code or 0
+            if exit_code:
+                exc_info = sys.exc_info()
+        except Exception:
+            exit_code, exc_info = 1, sys.exc_info()
+    return SimpleNamespace(exit_code=exit_code, stdout=stdout.getvalue(),
+                           stderr=stderr.getvalue(),
+                           output=stdout.getvalue() + stderr.getvalue(),
+                           exception=exc_info and exc_info[1], exc_info=exc_info)

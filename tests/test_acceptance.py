@@ -28,7 +28,6 @@ from discotrace import (
     segment_answer,
     tag_answer,
 )
-from discotrace.cli import main as cli_main
 from discotrace.interpretations import Interpretation, InterpretationSpace
 from discotrace.ontology import is_eligible
 from discotrace.pipeline import DiscoTrace, TraceStep, pair_interpretations
@@ -36,7 +35,9 @@ from discotrace.rst import NUCLEARITIES, RELATIONS
 from discotrace.segmentation import get_spans
 from discotrace.stats import END, START, chi_squared_2x2, collapse_adjacent
 
-from conftest import leaf, node, random_tree, record_fixture_by_replay, write_jsonl
+from conftest import (
+    invoke_cli, leaf, node, random_tree, record_fixture_by_replay, write_jsonl,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +399,7 @@ def seed_e2e_fixture(base, questions, answers, spaces):
 
 
 def run_trace_cli(base, out_name):
-    from click.testing import CliRunner
-
-    result = CliRunner().invoke(cli_main, [
+    result = invoke_cli([
         "trace",
         "--in", str(base / "answers.jsonl"),
         "--questions", str(base / "questions.jsonl"),

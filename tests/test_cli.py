@@ -9,7 +9,6 @@ import weakref
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from discotrace import (
     BackendSpec,
@@ -22,7 +21,6 @@ from discotrace import (
 from discotrace import cli
 from discotrace import corpus as corpus_io
 from discotrace import gateway
-from discotrace.cli import main
 from discotrace.config import PipelineConfig
 from discotrace.corpus import read_corpus, write_corpus
 from discotrace.errors import TransportError, UnparsableResponse
@@ -41,12 +39,12 @@ from discotrace.stats import (
 )
 
 from conftest import (
-    closed_port, deep_tree_json, http_stub, record_fixture_by_replay, write_jsonl,
+    closed_port, deep_tree_json, http_stub, invoke_cli, record_fixture_by_replay, write_jsonl,
 )
 
 
 def invoke(*args):
-    return CliRunner().invoke(main, list(args))
+    return invoke_cli(args)
 
 
 def trace_record(answer_id, question_id, acts):
@@ -1144,6 +1142,41 @@ def test_help_lists_subcommands():
         assert name in result.output
 
 
+def test_a_subcommand_help_exits_0():
+    result = invoke("trace", "--help")
+    assert result.exit_code == 0, result.output
+    assert "--questions" in result.stdout
+
+
+@pytest.mark.parametrize("args", [
+    [],  # no subcommand
+    ["segmentt", "--in", "{d}/a.jsonl", "--out", "{d}/o.jsonl"],  # unknown subcommand
+    ["trace", "--in", "{d}/a.jsonl", "--out", "{d}/o.jsonl", "--config", "{d}/c.json"],
+    ["segment", "--in", "{d}/a.jsonl", "--out", "{d}/o.jsonl", "--bogus", "x"],
+    ["segment", "--in", "{d}/a.jsonl", "--ou", "{d}/o.jsonl"],  # an abbreviation
+    ["sample", "-h"],  # only --help asks for help
+    ["sample", "--in", "{d}/a.jsonl", "--out", "{d}/o.jsonl", "--n", "abc"],
+    ["model", "--in", "{d}/a.jsonl", "--out", "{d}/o.jsonl", "--family-level=yes"],
+    ["mimic-answer", "--in", "{d}/a.jsonl", "--out", "{d}/o.jsonl", "--config", "{d}/c.json",
+     "--subreddit", "s", "--explanation", "e", "--guidelines-file", "{d}/rules.md",
+     "--max-tokens", "many"],
+    ["mimic-answer", "--in", "{d}/a.jsonl", "--out", "{d}/o.jsonl", "--config", "{d}/c.json",
+     "--subreddit", "s", "--explanation", "e", "--guidelines-file", "{d}/missing.md"],
+])
+def test_a_usage_error_is_an_input_error(tmp_path, args):
+    # Exit 2 is a backend failure; a command line that cannot run is an input error.
+    (tmp_path / "rules.md").write_text("Be thorough.")
+    (tmp_path / "fx.jsonl").write_text("")
+    (tmp_path / "c.json").write_text(json.dumps({"answer_generator": {
+        "kind": "mock", "fixture_path": "fx.jsonl"}}))
+    write_jsonl(tmp_path / "a.jsonl", [{"answer_id": "a1", "post_id": "q1", "title": "Why?"}])
+    result = invoke(*(arg.format(d=tmp_path) for arg in args))
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("error: "), result.stderr
+    assert result.stdout == ""
+    assert not (tmp_path / "o.jsonl").exists()
+
+
 def run_python(code, *args):
     """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -1153,7 +1186,7 @@ def run_python(code, *args):
                           capture_output=True, text=True, timeout=60, check=True)
 
 
-@pytest.mark.parametrize("module", ["numpy", "scipy", "requests", "urllib3",
+@pytest.mark.parametrize("module", ["click", "numpy", "scipy", "requests", "urllib3",
                                     "concurrent.futures", "logging", "urllib.request",
                                     "http.client"])
 def test_cli_import_does_not_load(module):
@@ -1220,7 +1253,7 @@ def assert_never_loads_numpy(tmp_path, command):
                          "--subreddit", "s", "--explanation", "e",
                          "--guidelines-file", guidelines],
     }[command]
-    # main() ends in sys.exit, so the check runs at exit; a failed command exits nonzero.
+    # The check runs at exit, after main() returns; a failed command exits nonzero.
     result = run_python("import atexit, sys\n"
                         "atexit.register(lambda: print('numpy' in sys.modules))\n"
                         "from discotrace.cli import main\n"
@@ -1473,8 +1506,8 @@ def test_mimic_keeps_the_type_of_a_failed_ask(tmp_path, status, content, error):
             "kind": "live", "endpoint": endpoint, "name": "gen", "model": "m",
             "retry_limit": 0}}))
         with pytest.raises(error) as raised:
-            cli.mimic_cmd.callback(str(questions), str(tmp_path / "out.jsonl"), str(config),
-                                   "s", "e", str(rules), 1000)
+            cli.mimic_cmd(str(questions), str(tmp_path / "out.jsonl"), str(config),
+                          "s", "e", str(rules), 1000)
     assert type(raised.value) is error
     assert str(raised.value).startswith("question 'q0': ")
     assert stats.posts == 1

@@ -1,7 +1,7 @@
 """Every subcommand, given a record with one field of the wrong shape, exits cleanly.
 
 One field of one record (or of the config, ontology or fixture file) at a time
-is set to each of ``VALUES``; each input runs in-process through ``CliRunner``.
+is set to each of ``VALUES``; each input runs in-process through ``invoke_cli``.
 Every run must end in ``SystemExit`` 0, 1 or 2; exit 2 only on a fixture miss;
 and every exit-1 message must name the line, the record or the config file. An
 exit-1 message that names a line, or one on a broken ontology or fixture, must name
@@ -13,14 +13,12 @@ import json
 import re
 
 import pytest
-from click.testing import CliRunner
 
 from discotrace import gateway, load_ontology
-from discotrace.cli import main
 from discotrace.errors import FixtureMiss
 from discotrace.gateway import append_fixture, load_fixture, text_digest
 
-from conftest import leaf, node, write_jsonl
+from conftest import invoke_cli, leaf, node, write_jsonl
 
 VALUES = [7, None, [], {}, "x", True, -1]
 
@@ -142,7 +140,7 @@ def replaced(doc, path, value):
 
 def run(directory, command):
     args = [arg.format(d=directory) for arg in COMMANDS[command]]
-    return CliRunner().invoke(main, [command, *args])
+    return invoke_cli([command, *args])
 
 
 def write_inputs(directory, config=CONFIG, **changed):

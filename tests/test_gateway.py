@@ -80,6 +80,20 @@ def test_head_digest_equals_full_digest(system, user, other_tail, split, max_tok
     assert head.digest_state is not None
 
 
+def test_heads_whose_values_python_calls_equal_keep_their_own_digests():
+    # 1 == 1.0 == True and 0.0 == -0.0, but each is written differently in the canonical
+    # JSON, so a head's shared prefix must not be reused across them.
+    gateway._prefix_state.cache_clear()
+    variants = ([(temperature, 7) for temperature in (1, 1.0, True, 0.0, -0.0)]
+                + [(0.0, max_tokens) for max_tokens in (1, True, None)])
+    digests = set()
+    for temperature, max_tokens in variants:
+        request = PromptHead("sys", "Question\n", "model", temperature, max_tokens).request("S")
+        assert request_digest(request) == full_digest(request), (temperature, max_tokens)
+        digests.add(request_digest(request))
+    assert len(digests) == len(variants)
+
+
 def test_lone_surrogate_digests():
     # JSON input can carry one: json.loads('"\\ud800"') is a lone surrogate.
     lone = json.loads('"\\ud800"')
