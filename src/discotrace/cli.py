@@ -4,7 +4,7 @@ Every subcommand reads and writes JSONL. The only randomness is the question dra
 of ``sample``, fixed by its --seed; with mock backends no subcommand performs
 network I/O, so runs replay byte-identically. Exit codes: 0 success (including
 degraded runs with diagnostics), 1 input error, which names its record, 2 backend
-failure, including a batch whose live backend calls all failed. With live
+failure (a ``BackendError``), including a batch whose live calls all failed. With live
 backends, ``interp``, ``trace`` and ``mimic-answer`` put at most ``max_in_flight``
 requests on the wire to each endpoint (the smallest value among the backends that
 name it). A request that is backing off holds no slot, and twice as many records
@@ -29,7 +29,7 @@ from typing import Iterator
 from . import corpus as corpus_io
 from . import gateway
 from .config import PipelineConfig
-from .errors import AuthError, FixtureMiss, TransportError, UnparsableResponse
+from .errors import BackendError, UnparsableResponse
 from .interpretations import InterpretationSpace, build_space
 from .ontology import load_ontology
 from .pipeline import pair_interpretations, tag_answer
@@ -43,9 +43,6 @@ from .stats import (
     interpretation_metrics,
     project_families,
 )
-
-_BACKEND_ERRORS = (TransportError, AuthError, FixtureMiss, UnparsableResponse)
-
 
 def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> Iterator[dict]:
     """Map ``run_one`` over ``in_path``'s records, writing each result to ``out_path``,
@@ -72,7 +69,7 @@ def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> Iterato
         except corpus_io.INPUT_ERRORS as exc:
             record_id = record.get(id_key)
             where = f"{noun} {record_id!r}" if isinstance(record_id, str) else f"{noun} #{position}"
-            if isinstance(exc, _BACKEND_ERRORS):
+            if isinstance(exc, BackendError):
                 exc.args = (f"{where}: {exc}",)  # keeps the type, exit 2, and a miss's digest
                 raise
             raise corpus_io.input_error(where, exc) from exc
@@ -147,7 +144,7 @@ def main(argv=None) -> None:
         args.pop("run")(**args)
     except corpus_io.INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2 if isinstance(exc, _BACKEND_ERRORS) else 1)
+        sys.exit(2 if isinstance(exc, BackendError) else 1)
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         sys.exit(130)
@@ -477,6 +474,8 @@ def _nonempty_text(reply: str) -> str:
 def mimic_cmd(in_path, out_path, config_path, subreddit, explanation,
               guidelines_file, max_tokens):
     """Generate answers as a member of a community, via its guidelines."""
+    if max_tokens < 1:
+        raise ValueError(f"--max-tokens must be at least 1, not {max_tokens}")
     config = PipelineConfig.from_file(config_path)
     backend = config.answer_generator
     if backend is None:
@@ -492,10 +491,7 @@ def mimic_cmd(in_path, out_path, config_path, subreddit, explanation,
             model_name=backend.model,
             max_tokens=max_tokens,
         )
-        text, failure = gateway.ask(backend, request, _nonempty_text)
-        if failure is not None:
-            kind, message, _ = failure
-            raise (TransportError if kind == "transport" else UnparsableResponse)(message)
+        text = gateway.ask(backend, request, _nonempty_text)
         return {"question_id": record["post_id"], "answer_text": text, "generator": backend.name}
 
     count = sum(1 for _ in _run_batch(in_path, out_path, run_one, "question", "post_id",

@@ -47,7 +47,11 @@ class EmptySegment(DiscoTraceError):
     pass
 
 
-class UnparsableResponse(DiscoTraceError):
+class BackendError(DiscoTraceError):
+    """A backend's failure: the command line exits 2 on one, and 1 on any other error."""
+
+
+class UnparsableResponse(BackendError):
     """Model output could not be parsed into the expected structure."""
 
 
@@ -67,15 +71,15 @@ class UnknownInterpretationId(UnparsableResponse):
     pass
 
 
-class TransportError(DiscoTraceError):
+class TransportError(BackendError):
     """Live backend unreachable after exhausting retries."""
 
 
-class AuthError(DiscoTraceError):
+class AuthError(BackendError):
     pass
 
 
-class FixtureMiss(DiscoTraceError):
+class FixtureMiss(BackendError):
     """Mock backend has no recorded response for this request digest.
 
     Carries the missing digest (and, when available, the request itself)

@@ -5,12 +5,12 @@ Live backends speak an OpenAI-style wire format with a configurable auth
 header and response content path over the standard library's
 ``urllib.request``, imported on the first live POST, one connection per POST.
 They retry transient failures with exponential backoff, and re-ask a reply
-that fails to parse. Inside :func:`in_flight`, a
-live request holds one of its endpoint's slots only while it is on the wire,
-never while it backs off or is asked again, and a block whose live requests all
-failed raises ``TransportError`` as it exits. :func:`ask` judges every
-chat reply read: tags, interpretations, pairings and mimic answers. Mock
-backends replay recorded fixtures: JSONL lines of
+that fails to parse. Inside :func:`in_flight`, a live request holds one of its
+endpoint's slots only while it is on the wire, never while it backs off or is
+asked again, and a block whose live requests all failed raises ``TransportError``
+as it exits. :func:`ask` judges every chat reply read: tags, interpretations,
+pairings and mimic answers. It returns the parsed reply, or raises the failure
+with ``asks`` set. Mock backends replay recorded fixtures: JSONL lines of
 ``{"request_digest": ..., "response_text": ...}`` keyed by a SHA-256
 digest of the request's canonical JSON, so replays are deterministic and
 byte-stable. The digest is unchanged from earlier versions, but a request
@@ -134,8 +134,10 @@ def request_digest(request: ChatRequest) -> str:
 
 
 def text_digest(model: str, text: str) -> str:
-    """Digest keying one embedding input in a mock fixture."""
-    canonical = json.dumps({"model": model, "input": text}, sort_keys=True, ensure_ascii=False)
+    """Digest keying one embedding input in a mock fixture: SHA-256 of the canonical JSON
+    ``{"input": text, "model": model}``, written key by key as ``request_digest`` writes."""
+    canonical = ('{"input": ' + encode_basestring(text)
+                 + ', "model": ' + encode_basestring(model) + "}")
     return hashlib.sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()
 
 
@@ -344,25 +346,24 @@ def complete(backend: BackendSpec, request: ChatRequest) -> str:
 
 
 def ask(backend: BackendSpec, request: ChatRequest, parse):
-    """Complete and parse one request; returns (parsed, None) or (None, (kind, message,
-    asks)): kind "parse" or "transport", the last error's message, and the number of
+    """Complete and parse one request: return the parsed reply, or raise the last
+    ``UnparsableResponse`` or ``TransportError`` with ``asks`` set to the number of
     ``complete`` calls made. Every model reply the pipeline reads is judged here.
 
     Only a live backend asks again, and only when a reply fails to parse, up
     to ``retry_limit`` times: a mock replays the same reply, and ``complete``
     has spent the retries on a transport failure. A fixture miss or an auth
-    error raises. A failure keeps only its message: its traceback would keep
-    the caller's frames, and so the whole answer, in a reference cycle.
+    error raises without ``asks``. A caller keeps no failure past its ``except``: the
+    traceback would hold the caller's frames, and so the whole answer, in a cycle.
     """
     limit = backend.retry_limit + 1 if backend.kind == "live" else 1
     for asks in range(1, limit + 1):
         try:
-            return parse(complete(backend, request)), None
-        except UnparsableResponse as exc:
-            failure = ("parse", str(exc), asks)
-        except TransportError as exc:
-            return None, ("transport", str(exc), asks)
-    return None, failure
+            return parse(complete(backend, request))
+        except (UnparsableResponse, TransportError) as exc:
+            exc.asks = asks
+            if isinstance(exc, TransportError) or asks == limit:
+                raise
 
 
 def _is_number(x) -> bool:

@@ -76,9 +76,9 @@ def generate_raw(
 
     Returns (pooled items, warnings). Each reply is judged by ``gateway.ask``; a
     backend whose reply never parses, or whose transport fails, is left out of the
-    pool with a warning. When every backend fails, the last failure raises as
-    ``UnparsableResponse`` or ``TransportError``. A fixture miss or an auth error
-    raises at once.
+    pool with a warning, and its failure is not kept. When every backend fails, the
+    last failure propagates as ``gateway.ask`` raised it. A fixture miss or an auth
+    error raises at once.
     """
     if not backends:
         raise ValueError("at least one generator backend required")
@@ -86,14 +86,14 @@ def generate_raw(
     warnings: list[str] = []
     for backend in backends:
         request = build_interp_gen_prompt(question, community_context, backend.model)
-        texts, failure = gateway.ask(backend, request, parse_interp_list)
-        if failure is None:
-            pooled.extend((backend.name, text) for text in texts)
+        try:
+            texts = gateway.ask(backend, request, parse_interp_list)
+        except (UnparsableResponse, TransportError) as exc:
+            warnings.append(f"generator {backend.name}: {exc}")
+            if len(warnings) == len(backends):
+                raise
         else:
-            warnings.append(f"generator {backend.name}: {failure[1]}")
-    if len(warnings) == len(backends):
-        kind, message, _ = failure
-        raise (TransportError if kind == "transport" else UnparsableResponse)(message)
+            pooled.extend((backend.name, text) for text in texts)
     return pooled, warnings
 
 

@@ -7,8 +7,8 @@ one extends that step, so no two adjacent steps share an act. Pairing asks
 about each eligible step's EDU text, read from the tree. Per-segment failures
 degrade to NONE with a diagnostic rather than aborting the answer (a mock
 fixture miss is a configuration error and still raises).
-Each request goes through :func:`gateway.ask`, which alone judges its reply
-and decides how often it is asked. Both stages word a failure with
+Each request goes through :func:`gateway.ask`, which alone judges its reply, decides
+how often it is asked and returns it or raises. Both stages catch a failure in
 ``_ask``: its kind, segment, message, the asks made and the request digest.
 """
 
@@ -19,6 +19,7 @@ from typing import Optional
 
 from . import gateway
 from .corpus import typed
+from .errors import TransportError, UnparsableResponse
 from .gateway import BackendSpec
 from .interpretations import InterpretationSpace
 from .ontology import NONE_ACT_ID, Ontology, is_eligible
@@ -128,15 +129,15 @@ def tag_answer(
 
 
 def _ask(backend, request, edu_indices, what: str, diagnostics: list, parse):
-    """``gateway.ask``'s parsed reply, or None after noting the failure in ``diagnostics``
+    """``gateway.ask``'s parsed reply, or None after noting its failure in ``diagnostics``
     with its kind, segment, message, the asks made and the request digest."""
-    parsed, failure = gateway.ask(backend, request, parse)
-    if failure is not None:
-        kind, message, asks = failure
+    try:
+        return gateway.ask(backend, request, parse)
+    except (UnparsableResponse, TransportError) as exc:
+        kind, asks = ("transport" if isinstance(exc, TransportError) else "parse"), exc.asks
         diagnostics.append(
             f"{kind} failure on segment {edu_indices} after {asks} ask{'s' * (asks != 1)}: "
-            f"{message}; {what} set to NONE (request digest {gateway.request_digest(request)})")
-    return parsed
+            f"{exc}; {what} set to NONE (request digest {gateway.request_digest(request)})")
 
 
 def _assignments_to_pieces(segment: ActionSegment, assignments) -> list[tuple[tuple, str]]:

@@ -118,11 +118,14 @@ def closed_port():
 def http_stub(respond, delay_s=0.0):
     """Serve POSTs on a loopback port, one thread per request.
 
-    ``respond(body)`` returns ``(status, payload)``; each reply is held back
-    ``delay_s``. Yields ``(endpoint, stats)``: ``stats.posts`` counts the
-    requests and ``stats.max_in_flight`` is the most served at once.
+    ``respond(body)`` returns ``(status, payload)`` or ``(status, payload, headers)``: a
+    payload of bytes is sent as it is, any other as JSON, and ``headers`` are added to
+    the reply. Each reply is held back ``delay_s``. Yields ``(endpoint, stats)``:
+    ``stats.posts`` counts the requests, ``stats.headers`` holds each request's headers
+    (looked up without regard to case) in arrival order, and ``stats.max_in_flight`` is
+    the most served at once.
     """
-    stats = SimpleNamespace(posts=0, in_flight=0, max_in_flight=0)
+    stats = SimpleNamespace(posts=0, headers=[], in_flight=0, max_in_flight=0)
     lock = threading.Lock()
 
     class Handler(BaseHTTPRequestHandler):
@@ -130,18 +133,21 @@ def http_stub(respond, delay_s=0.0):
             body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
             with lock:
                 stats.posts += 1
+                stats.headers.append(self.headers)
                 stats.in_flight += 1
                 stats.max_in_flight = max(stats.max_in_flight, stats.in_flight)
             if delay_s:  # a test may stand in for time.sleep to order a backoff
                 time.sleep(delay_s)
-            status, payload = respond(body)
+            status, payload, *headers = respond(body)
             # Leave the count before replying: the client's next request
             # cannot arrive before this reply, so it never overlaps this one.
             with lock:
                 stats.in_flight -= 1
-            data = json.dumps(payload).encode()
+            data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
+            for name, value in (headers[0] if headers else {}).items():
+                self.send_header(name, value)
             self.send_header("Content-Length", str(len(data)))
             self.end_headers()
             self.wfile.write(data)

@@ -20,6 +20,7 @@ from discotrace import (
 )
 from discotrace import cli
 from discotrace import corpus as corpus_io
+from discotrace import errors
 from discotrace import gateway
 from discotrace.config import PipelineConfig
 from discotrace.corpus import read_corpus, write_corpus
@@ -344,6 +345,42 @@ def test_too_deep_tree_line_exit_1(tmp_path, command):
     assert result.exit_code == 1, result.output
     assert result.stderr.startswith(f"error: {answers}: line 2: ")
     assert "Traceback" not in result.output
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+_EXIT_2 = {errors.BackendError, errors.UnparsableResponse, errors.InvalidActId,
+           errors.IndexOutOfRange, errors.MixedForm, errors.UnknownInterpretationId,
+           errors.TransportError, errors.EmbeddingDimensionMismatch, errors.AuthError,
+           errors.FixtureMiss}
+_ERROR_ARGS = {errors.ZeroProbabilityTransition: ("a", "b"), errors.MalformedLine: (1, "boom"),
+               errors.SchemaVersionMismatch: (1, "boom")}
+
+
+@pytest.mark.parametrize("where", ["in a record", "outside a record"])
+@pytest.mark.parametrize("error", list(_subclasses(errors.DiscoTraceError)),
+                         ids=lambda error: error.__name__)
+def test_exactly_the_backend_errors_exit_2(tmp_path, monkeypatch, error, where):
+    raised = error(*_ERROR_ARGS.get(error, ("boom",)))
+    message = str(raised)  # a batch prefixes a backend error's message with its record
+
+    def fail(*args, **kwargs):
+        raise raised
+
+    if where == "in a record":
+        monkeypatch.setattr(cli, "parse_rst_tree", fail)
+    else:
+        monkeypatch.setattr(corpus_io, "read_corpus", fail)
+    answers = tmp_path / "answers.jsonl"
+    write_jsonl(answers, [{"answer_id": "a1", "rst_tree": {"edu": "hello"}}])
+    result = invoke("segment", "--in", str(answers), "--out", str(tmp_path / "o.jsonl"))
+    assert result.exit_code == (2 if error in _EXIT_2 else 1), result.output
+    named = "answer 'a1': " if where == "in a record" else ""
+    assert result.stderr == f"error: {named}{message}\n"
 
 
 def test_trace_command_fixture_miss_exit_2(tmp_path):
@@ -1511,6 +1548,22 @@ def test_mimic_keeps_the_type_of_a_failed_ask(tmp_path, status, content, error):
     assert type(raised.value) is error
     assert str(raised.value).startswith("question 'q0': ")
     assert stats.posts == 1
+
+
+@pytest.mark.parametrize("max_tokens", ["0", "-3"])
+def test_mimic_max_tokens_below_1_is_a_usage_error(tmp_path, monkeypatch, max_tokens):
+    calls = []
+    monkeypatch.setattr(gateway, "complete", lambda *args: calls.append(args))
+    (tmp_path / "gen.jsonl").touch()
+    mimic_inputs(tmp_path, ["Why?"], {"kind": "mock", "fixture_path": "gen.jsonl"})
+    out = tmp_path / "answers.jsonl"
+    result = invoke("mimic-answer", "--in", str(tmp_path / "questions.jsonl"), "--out", str(out),
+                    "--config", str(tmp_path / "config.json"), "--subreddit", "s",
+                    "--explanation", "e", "--guidelines-file", str(tmp_path / "rules.md"),
+                    "--max-tokens", max_tokens)
+    assert result.exit_code == 1, result.output
+    assert result.stderr == f"error: --max-tokens must be at least 1, not {max_tokens}\n"
+    assert calls == [] and not out.exists()
 
 
 @pytest.mark.parametrize("title", [None, 7, "  "])

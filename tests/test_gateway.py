@@ -8,7 +8,6 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +102,16 @@ def test_lone_surrogate_digests():
         assert request_digest(request) == full_digest(request)
         assert request_digest(dataclasses.replace(request)) == full_digest(request)
     assert text_digest("m", lone) != text_digest("m", "\udc00")
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=_TEXT, text=st.text(st.one_of(_CHARS, st.sampled_from("\u2028\u2029\ud800\udfff")),
+                                 max_size=30))
+def test_text_digest_is_the_digest_of_the_sorted_json(model, text):
+    # Fixtures recorded by earlier versions are keyed by this form; it must not move.
+    canonical = json.dumps({"model": model, "input": text}, sort_keys=True, ensure_ascii=False)
+    assert text_digest(model, text) == hashlib.sha256(
+        canonical.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 def test_mismatched_head_falls_back_to_full_digest():
@@ -273,110 +282,86 @@ def test_a_live_endpoint_is_an_http_url_with_a_host(endpoint):
         assert BackendSpec(kind="live", endpoint=good).endpoint == good
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    # (status, payload[, headers]) consumed per request; bytes go out raw
-    responses = []
-    seen = []  # each request's JSON body
-    headers_seen = []  # each request's headers, looked up without regard to case
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        _StubHandler.headers_seen.append(self.headers)
-        _StubHandler.seen.append(json.loads(self.rfile.read(length)))
-        status, payload, *headers = _StubHandler.responses.pop(0)
-        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        for name, value in (headers[0] if headers else {}).items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _StubHandler.responses = []
-    _StubHandler.seen = []
-    _StubHandler.headers_seen = []
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    server.server_close()
-
-
 def _chat_payload(text):
     return {"choices": [{"message": {"content": text}}]}
 
 
-def test_live_round_trip(stub_server):
+def _in_turn(responses, seen=None):
+    """An ``http_stub`` responder that pops each reply from the front of ``responses``,
+    and appends each request's JSON body to ``seen`` when one is given."""
+    def respond(body):
+        if seen is not None:
+            seen.append(body)
+        return responses.pop(0)
+    return respond
+
+
+def test_live_round_trip():
     # Recorded-cassette style: stub returns the single-action array verbatim.
     recorded = '[{"action_id": "action_AQ_assert_answer"}]'
-    _StubHandler.responses = [(200, _chat_payload(recorded))]
-    backend = BackendSpec(kind="live", endpoint=stub_server, retry_limit=0)
-    assert complete(backend, make_request()) == recorded
-    sent = _StubHandler.seen[0]
+    seen = []
+    with http_stub(_in_turn([(200, _chat_payload(recorded))], seen)) as (endpoint, _):
+        backend = BackendSpec(kind="live", endpoint=endpoint, retry_limit=0)
+        assert complete(backend, make_request()) == recorded
+    sent = seen[0]
     assert sent["model"] == "test-model"
     assert sent["temperature"] == 0.01
     assert [m["role"] for m in sent["messages"]] == ["system", "user"]
 
 
-def test_live_retries_then_succeeds(stub_server, monkeypatch):
+def test_live_retries_then_succeeds(monkeypatch):
     monkeypatch.setattr("discotrace.gateway.time.sleep", lambda s: None)
-    _StubHandler.responses = [(500, {}), (200, _chat_payload("ok"))]
-    backend = BackendSpec(kind="live", endpoint=stub_server, retry_limit=2)
-    assert complete(backend, make_request()) == "ok"
-    assert len(_StubHandler.seen) == 2
+    with http_stub(_in_turn([(500, {}), (200, _chat_payload("ok"))])) as (endpoint, stats):
+        backend = BackendSpec(kind="live", endpoint=endpoint, retry_limit=2)
+        assert complete(backend, make_request()) == "ok"
+    assert stats.posts == 2
 
 
-def test_live_exhausted_retries(stub_server, monkeypatch):
+def test_live_exhausted_retries(monkeypatch):
     monkeypatch.setattr("discotrace.gateway.time.sleep", lambda s: None)
-    _StubHandler.responses = [(500, {})] * 3
-    backend = BackendSpec(kind="live", endpoint=stub_server, retry_limit=2)
-    with pytest.raises(TransportError):
-        complete(backend, make_request())
+    with http_stub(_in_turn([(500, {})] * 3)) as (endpoint, _):
+        backend = BackendSpec(kind="live", endpoint=endpoint, retry_limit=2)
+        with pytest.raises(TransportError):
+            complete(backend, make_request())
 
 
-def test_live_non_json_reply_is_retried(stub_server, monkeypatch):
+def test_live_non_json_reply_is_retried(monkeypatch):
     monkeypatch.setattr("discotrace.gateway.time.sleep", lambda s: None)
-    _StubHandler.responses = [(200, b"<html>bad gateway</html>"), (200, _chat_payload("ok"))]
-    backend = BackendSpec(kind="live", endpoint=stub_server, retry_limit=2)
-    assert complete(backend, make_request()) == "ok"
-    assert len(_StubHandler.seen) == 2
+    responses = [(200, b"<html>bad gateway</html>"), (200, _chat_payload("ok"))]
+    with http_stub(_in_turn(responses)) as (endpoint, stats):
+        backend = BackendSpec(kind="live", endpoint=endpoint, retry_limit=2)
+        assert complete(backend, make_request()) == "ok"
+        assert stats.posts == 2
 
-    _StubHandler.responses = [(200, b"not json")] * 3
-    with pytest.raises(TransportError, match="not JSON"):
-        complete(backend, make_request())
-    assert len(_StubHandler.seen) == 5
+        responses[:] = [(200, b"not json")] * 3
+        with pytest.raises(TransportError, match="not JSON"):
+            complete(backend, make_request())
+    assert stats.posts == 5
 
 
-def test_a_4xx_is_one_post_that_fails_with_its_body(stub_server, monkeypatch):
+def test_a_4xx_is_one_post_that_fails_with_its_body(monkeypatch):
     sleeps = []
     monkeypatch.setattr("discotrace.gateway.time.sleep", sleeps.append)
-    _StubHandler.responses = [(404, b"no such model: \xff")]
-    backend = BackendSpec(kind="live", endpoint=stub_server, retry_limit=2)
-    with pytest.raises(TransportError, match=r"^every backend call failed \(1 of 1\)$"):
-        with gateway.in_flight([backend]):
-            with pytest.raises(TransportError,
-                               match="^backend returned 404: no such model: \ufffd$"):
-                complete(backend, make_request())
-    assert len(_StubHandler.seen) == 1
+    with http_stub(_in_turn([(404, b"no such model: \xff")])) as (endpoint, stats):
+        backend = BackendSpec(kind="live", endpoint=endpoint, retry_limit=2)
+        with pytest.raises(TransportError, match=r"^every backend call failed \(1 of 1\)$"):
+            with gateway.in_flight([backend]):
+                with pytest.raises(TransportError,
+                                   match="^backend returned 404: no such model: \ufffd$"):
+                    complete(backend, make_request())
+    assert stats.posts == 1
     assert sleeps == []
 
 
 @pytest.mark.parametrize("status", [307, 308])
-def test_a_redirected_post_is_not_followed(stub_server, status):
-    _StubHandler.responses = [(status, b"moved", {"Location": f"{stub_server}/elsewhere"}),
-                              (200, _chat_payload("ok"))]
-    backend = BackendSpec(kind="live", endpoint=stub_server, retry_limit=2)
-    with pytest.raises(TransportError, match=f"^backend returned {status}: moved$"):
-        complete(backend, make_request())
-    assert len(_StubHandler.seen) == 1
+def test_a_redirected_post_is_not_followed(status):
+    responses = [(200, _chat_payload("ok"))]
+    with http_stub(_in_turn(responses)) as (endpoint, stats):
+        responses.insert(0, (status, b"moved", {"Location": f"{endpoint}/elsewhere"}))
+        backend = BackendSpec(kind="live", endpoint=endpoint, retry_limit=2)
+        with pytest.raises(TransportError, match=f"^backend returned {status}: moved$"):
+            complete(backend, make_request())
+    assert stats.posts == 1
 
 
 def test_a_refused_connection_is_retried_then_a_transport_error(monkeypatch):
@@ -399,13 +384,14 @@ def test_a_refused_connection_is_retried_then_a_transport_error(monkeypatch):
     assert len(sleeps) == 2
 
 
-def test_a_utf8_reply_parses_to_the_same_text(stub_server):
+def test_a_utf8_reply_parses_to_the_same_text():
     text = "Ça coûte 5 € — 日本語 🙂"
     reply = json.dumps(_chat_payload(text), ensure_ascii=False).encode("utf-8")
-    _StubHandler.responses = [(200, reply)]
-    backend = BackendSpec(kind="live", endpoint=stub_server, retry_limit=0)
-    assert complete(backend, make_request(text)) == text
-    assert _StubHandler.seen[0]["messages"][1]["content"] == text
+    seen = []
+    with http_stub(_in_turn([(200, reply)], seen)) as (endpoint, _):
+        backend = BackendSpec(kind="live", endpoint=endpoint, retry_limit=0)
+        assert complete(backend, make_request(text)) == text
+    assert seen[0]["messages"][1]["content"] == text
 
 
 def test_in_flight_bounds_an_endpoint_under_contention(monkeypatch):
@@ -554,64 +540,67 @@ def test_a_live_call_before_the_block_does_not_count():
     assert stats.posts == 3
 
 
-def test_live_auth_error(stub_server):
-    _StubHandler.responses = [(401, {})]
-    backend = BackendSpec(kind="live", endpoint=stub_server, retry_limit=2)
-    with pytest.raises(AuthError):
-        complete(backend, make_request())
+def test_live_auth_error():
+    with http_stub(_in_turn([(401, {})])) as (endpoint, _):
+        backend = BackendSpec(kind="live", endpoint=endpoint, retry_limit=2)
+        with pytest.raises(AuthError):
+            complete(backend, make_request())
 
 
-def test_live_auth_header(stub_server, monkeypatch):
+def test_live_auth_header(monkeypatch):
     monkeypatch.setenv("TEST_TOKEN", "sekret")
-    _StubHandler.responses = [(200, _chat_payload("ok"))]
-    backend = BackendSpec(kind="live", endpoint=stub_server, auth_env="TEST_TOKEN")
-    complete(backend, make_request())
-    heard = _StubHandler.headers_seen[0]
+    with http_stub(_in_turn([(200, _chat_payload("ok"))])) as (endpoint, stats):
+        backend = BackendSpec(kind="live", endpoint=endpoint, auth_env="TEST_TOKEN")
+        complete(backend, make_request())
+    heard = stats.headers[0]
     assert heard["authorization"] == "Bearer sekret"
     assert heard["content-type"] == "application/json"
 
 
-def test_live_missing_auth_env(stub_server):
-    backend = BackendSpec(kind="live", endpoint=stub_server, auth_env="NO_SUCH_VAR_XYZ")
-    with pytest.raises(AuthError):
-        complete(backend, make_request())
+def test_live_missing_auth_env():
+    with http_stub(_in_turn([])) as (endpoint, _):
+        backend = BackendSpec(kind="live", endpoint=endpoint, auth_env="NO_SUCH_VAR_XYZ")
+        with pytest.raises(AuthError):
+            complete(backend, make_request())
 
 
-def test_live_embedding(stub_server):
-    _StubHandler.responses = [
-        (200, {"data": [{"embedding": [0.1, 0.2]}, {"embedding": [0.3, 0.4]}]})
-    ]
-    backend = BackendSpec(kind="live", endpoint=stub_server, model="emb", retry_limit=0)
-    assert embed(backend, ["x", "y"]) == [[0.1, 0.2], [0.3, 0.4]]
-    assert _StubHandler.seen[0] == {"model": "emb", "input": ["x", "y"]}
+def test_live_embedding():
+    seen = []
+    responses = [(200, {"data": [{"embedding": [0.1, 0.2]}, {"embedding": [0.3, 0.4]}]})]
+    with http_stub(_in_turn(responses, seen)) as (endpoint, _):
+        backend = BackendSpec(kind="live", endpoint=endpoint, model="emb", retry_limit=0)
+        assert embed(backend, ["x", "y"]) == [[0.1, 0.2], [0.3, 0.4]]
+    assert seen[0] == {"model": "emb", "input": ["x", "y"]}
 
 
 @pytest.mark.parametrize("message", [{"content": None}, {"content": 7}, {}])
-def test_live_reply_without_text_is_a_transport_error(stub_server, message):
-    _StubHandler.responses = [(200, {"choices": [{"message": message}]})]
-    backend = BackendSpec(kind="live", endpoint=stub_server, retry_limit=0)
-    with pytest.raises(TransportError, match="response missing content at"):
-        complete(backend, make_request())
+def test_live_reply_without_text_is_a_transport_error(message):
+    with http_stub(_in_turn([(200, {"choices": [{"message": message}]})])) as (endpoint, _):
+        backend = BackendSpec(kind="live", endpoint=endpoint, retry_limit=0)
+        with pytest.raises(TransportError, match="response missing content at"):
+            complete(backend, make_request())
 
 
 @pytest.mark.parametrize("payload", [
     {"data": [{"embedding": None}]}, {"data": 7}, {"data": [{"embedding": ["x"]}]},
     {"data": [{"embedding": [True]}]}, {"data": [7]}, [],
 ])
-def test_live_embedding_reply_of_the_wrong_shape_is_a_transport_error(stub_server, payload):
-    _StubHandler.responses = [(200, payload)]
-    backend = BackendSpec(kind="live", endpoint=stub_server, model="emb", retry_limit=0)
-    with pytest.raises(TransportError, match="embedding reply is not a list of number vectors"):
-        embed(backend, ["x"])
+def test_live_embedding_reply_of_the_wrong_shape_is_a_transport_error(payload):
+    with http_stub(_in_turn([(200, payload)])) as (endpoint, _):
+        backend = BackendSpec(kind="live", endpoint=endpoint, model="emb", retry_limit=0)
+        with pytest.raises(TransportError,
+                           match="embedding reply is not a list of number vectors"):
+            embed(backend, ["x"])
 
 
 @pytest.mark.parametrize("vectors", [[[0.1, 0.2]], [[0.1, 0.2]] * 3])
-def test_a_live_embedding_reply_needs_one_vector_per_text(stub_server, vectors):
-    _StubHandler.responses = [(200, {"data": [{"embedding": v} for v in vectors]})]
-    backend = BackendSpec(kind="live", endpoint=stub_server, model="emb", retry_limit=0)
-    with pytest.raises(EmbeddingDimensionMismatch,
-                       match=f"embedding reply has {len(vectors)} vectors for 2 texts"):
-        embed(backend, ["x", "y"])
+def test_a_live_embedding_reply_needs_one_vector_per_text(vectors):
+    responses = [(200, {"data": [{"embedding": v} for v in vectors]})]
+    with http_stub(_in_turn(responses)) as (endpoint, _):
+        backend = BackendSpec(kind="live", endpoint=endpoint, model="emb", retry_limit=0)
+        with pytest.raises(EmbeddingDimensionMismatch,
+                           match=f"embedding reply has {len(vectors)} vectors for 2 texts"):
+            embed(backend, ["x", "y"])
 
 
 def test_a_mock_embedding_that_is_not_json_names_the_fixture_and_the_digest(tmp_path):

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -272,6 +274,23 @@ def test_generate_raw_every_reply_unparsable_raises_the_last_message(tmp_path):
     pooled, warnings = generate_raw("Q?", "ctx", [backends[0], make_gen_backend(
         tmp_path, "c", "Q?", "ctx", "1. C?")])
     assert pooled == [("c", "C?")]
+    assert warnings == ["generator a: neither NONE nor a numbered list"]
+
+
+def test_generate_raw_keeps_no_failed_call_in_a_reference_cycle(tmp_path):
+    # A kept failure's traceback would hold the failed call's frames, and so its backend.
+    def run():
+        failing = make_gen_backend(tmp_path, "a", "Q?", "ctx", "no list")
+        backends = [failing, make_gen_backend(tmp_path, "b", "Q?", "ctx", "1. B?")]
+        return weakref.ref(failing), generate_raw("Q?", "ctx", backends)
+
+    gc.disable()
+    try:
+        alive, (pooled, warnings) = run()
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert pooled == [("b", "B?")]
     assert warnings == ["generator a: neither NONE nor a numbered list"]
 
 

@@ -179,6 +179,25 @@ def test_parse_failure_leaves_no_reference_cycle(tmp_path):
     assert "parse failure" in diagnostics[0]
 
 
+def test_transport_failure_leaves_no_reference_cycle():
+    # As above, for the TransportError of a live backend that answers 503.
+    doc = {"edu": "hello there"}
+    with http_stub(lambda body: (503, {})) as (endpoint, stats):
+        backend = BackendSpec(kind="live", endpoint=endpoint, retry_limit=0)
+        gc.disable()
+        try:
+            tree = parse_rst_tree(doc)
+            alive = weakref.ref(tree)
+            _, diagnostics = tag_answer("Q?", "hello there", segment_answer(tree), tree,
+                                        load_ont(), backend)
+            del tree
+            assert alive() is None
+        finally:
+            gc.enable()
+    assert stats.posts == 1
+    assert diagnostics[0].startswith("transport failure on segment (0,) after 1 ask: ")
+
+
 PAIR_TREE = parse_rst_tree(chain_tree(3))  # EDUs e0, e1, e2
 
 
