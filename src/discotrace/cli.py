@@ -37,7 +37,6 @@ from .prompts import build_mimic_prompt
 from .rst import parse_rst_tree
 from .segmentation import segment_answer
 from .stats import (
-    Smoothing,
     cross_perplexity_matrix,
     fit_bigram,
     interpretation_metrics,
@@ -294,9 +293,9 @@ def _raise_unknown_act_id(ontology, known: frozenset, ids: list):
     ontology.get(next(i for i in ids if i not in known))  # raises UnknownActId
 
 
-def _act_id_view(ontology):
-    """A ``read_corpus`` view of a trace record's act ids, checked against ``ontology``
-    so that an unknown one names its line."""
+def _act_sequences(path, ontology, family_level: bool) -> list:
+    """The act ids of each trace at ``path``, checked against ``ontology`` so that an unknown
+    one names its line, as families at ``family_level``; a file of no trace names itself."""
     known = frozenset(ontology.act_ids())
 
     def read(doc):
@@ -304,7 +303,11 @@ def _act_id_view(ontology):
         if not known.issuperset(ids):
             _raise_unknown_act_id(ontology, known, ids)
         return ids
-    return read
+
+    traces = corpus_io.read_corpus(path, view=read)
+    if not traces:
+        raise ValueError(f"{path}: need at least one trace")
+    return project_families(traces, ontology) if family_level else traces
 
 
 def _step_view(ontology):
@@ -340,32 +343,18 @@ def _vocabulary(ontology, family_level: bool) -> list:
     return ontology.act_ids()
 
 
-def _smoothing_from_flag(flag, config):
-    if flag is None:
-        return config.smoothing
-    mode, colon, lam = flag.partition(":")
-    if flag == "mle" or mode == "add_lambda":
-        try:
-            return Smoothing(mode=mode, lam=float(lam) if colon else 1.0)
-        except corpus_io.INPUT_ERRORS as exc:
-            raise corpus_io.input_error(f"smoothing {flag!r}", exc) from exc
-    raise ValueError(f"unknown smoothing {flag!r} (use 'mle' or 'add_lambda[:LAM]')")
-
-
 @_command("model")
 @_option("--in", "in_path", required=True, help="Traces JSONL.")
 @_option("--out", "out_path", required=True, help="Model JSON.")
 @_option("--config", "config_path", default=None)
-@_option("--smoothing", "smoothing_flag", default=None)
 @_option("--family-level", action="store_true")
-def model_cmd(in_path, out_path, config_path, smoothing_flag, family_level):
+def model_cmd(in_path, out_path, config_path, family_level):
     """Fit a bigram strategy model over act sequences."""
     config = PipelineConfig.from_file(config_path)
     ontology = load_ontology(config.ontology_path)
-    traces = corpus_io.read_corpus(in_path, view=_act_id_view(ontology))
-    smoothing = _smoothing_from_flag(smoothing_flag, config)
-    sequences = project_families(traces, ontology) if family_level else traces
-    model = fit_bigram(sequences, smoothing, vocabulary=_vocabulary(ontology, family_level))
+    smoothing = config.smoothing
+    model = fit_bigram(_act_sequences(in_path, ontology, family_level), smoothing,
+                       vocabulary=_vocabulary(ontology, family_level))
     Path(out_path).write_text(json.dumps({
         "vocabulary": list(model.vocabulary),
         "counts": [[prev, nxt, c] for (prev, nxt), c in sorted(model.counts.items())],
@@ -383,15 +372,11 @@ def model_cmd(in_path, out_path, config_path, smoothing_flag, family_level):
 @_option("--json-out", default=None)
 @_option("--long-csv-out", default=None)
 @_option("--config", "config_path", default=None)
-@_option("--smoothing", "smoothing_flag", default=None)
 @_option("--family-level", action="store_true")
-def compare_cmd(corpora, out_path, json_out, long_csv_out, config_path,
-                smoothing_flag, family_level):
+def compare_cmd(corpora, out_path, json_out, long_csv_out, config_path, family_level):
     """Cross-perplexity matrix across trace corpora."""
     config = PipelineConfig.from_file(config_path)
     ontology = load_ontology(config.ontology_path)
-    smoothing = _smoothing_from_flag(smoothing_flag, config)
-    view = _act_id_view(ontology)
     named = {}
     for item in corpora:
         name, equals, path = item.partition("=")  # a path may hold "=" too
@@ -400,9 +385,8 @@ def compare_cmd(corpora, out_path, json_out, long_csv_out, config_path,
         name = name or Path(path).stem
         if name in named:
             raise ValueError(f"corpus name {name!r} is given twice")
-        traces = corpus_io.read_corpus(path, view=view)
-        named[name] = project_families(traces, ontology) if family_level else traces
-    matrix = cross_perplexity_matrix(named, smoothing,
+        named[name] = _act_sequences(path, ontology, family_level)
+    matrix = cross_perplexity_matrix(named, config.smoothing,
                                      vocabulary=_vocabulary(ontology, family_level))
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
         matrix.write_csv(handle)

@@ -27,9 +27,15 @@ class PipelineConfig:
     smoothing: Smoothing = field(default_factory=Smoothing)
     dedup_threshold: float = DEFAULT_DEDUP_THRESHOLD
 
+    def __post_init__(self):
+        if not 0 < self.dedup_threshold <= 1:
+            raise ValueError("dedup_threshold must be in (0, 1]")
+
     @classmethod
     def from_dict(cls, doc: dict, base_dir: Optional[Path] = None) -> "PipelineConfig":
-        """A config from its JSON object; a value of the wrong shape raises ``TypeError`` or
+        """A config from its JSON object: each key that is present and not null is read by
+        its row of ``readers``, a value :func:`of_type` the row's JSON type; an absent one
+        keeps the field's default. A value of the wrong shape raises ``TypeError`` or
         ``ValueError`` naming its key. Unknown top-level keys are ignored."""
         def spec_of(spec):
             spec = dict(of_type("a backend", spec, dict))
@@ -41,18 +47,6 @@ class PipelineConfig:
                                  f"{backend.fixture_path!r}")
             return backend
 
-        def entry(key, kind, build, default=None):
-            """``build(doc[key])`` for a value :func:`of_type` ``kind``, ``default`` when it is
-            absent or null."""
-            value = doc.get(key)
-            if value is None:
-                return default
-            value = of_type(key, value, kind)
-            try:
-                return build(value)
-            except INPUT_ERRORS as exc:
-                raise input_error(key, exc) from exc
-
         def ontology_at(path):
             if base_dir is not None:
                 path = str((base_dir / path).resolve())
@@ -60,24 +54,27 @@ class PipelineConfig:
                 raise ValueError(f"{path!r} is not a file")
             return path
 
-        threshold = entry("dedup_threshold", float, float, DEFAULT_DEDUP_THRESHOLD)
-        if not 0 < threshold <= 1:
-            raise ValueError("dedup_threshold must be in (0, 1]")
-        return cls(
-            act_labeler=entry("act_labeler", dict, spec_of),
-            interp_generators=entry("interp_generators", list,
-                                    lambda specs: [spec_of(spec) for spec in specs], []),
-            interp_labeler=entry("interp_labeler", dict, spec_of),
-            embedder=entry("embedder", dict, spec_of),
-            answer_generator=entry("answer_generator", dict, spec_of),
-            ontology_path=entry("ontology_path", str, ontology_at),
-            boundary=entry("boundary", dict, partial(read_fields, BoundaryConfig),
-                           BoundaryConfig()),
-            smoothing=entry("smoothing", dict,
-                            partial(read_fields, Smoothing, keys={"lam": "lambda"}),
-                            Smoothing()),
-            dedup_threshold=threshold,
-        )
+        readers = {
+            "act_labeler": (dict, spec_of),
+            "interp_generators": (list, lambda specs: [spec_of(spec) for spec in specs]),
+            "interp_labeler": (dict, spec_of),
+            "embedder": (dict, spec_of),
+            "answer_generator": (dict, spec_of),
+            "ontology_path": (str, ontology_at),
+            "boundary": (dict, partial(read_fields, BoundaryConfig)),
+            "smoothing": (dict, partial(read_fields, Smoothing, keys={"lam": "lambda"})),
+            "dedup_threshold": (float, float),
+        }
+        values = {}
+        for key, (kind, read) in readers.items():
+            if doc.get(key) is None:
+                continue
+            value = of_type(key, doc[key], kind)
+            try:
+                values[key] = read(value)
+            except INPUT_ERRORS as exc:
+                raise input_error(key, exc) from exc
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":

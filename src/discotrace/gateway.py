@@ -2,8 +2,8 @@
 
 This is the only module that performs network I/O or asks a request again.
 Live backends speak an OpenAI-style wire format with a configurable auth
-header and response content path over the standard library's
-``urllib.request``, imported on the first live POST, one connection per POST.
+header over the standard library's ``urllib.request``, imported on the first
+live POST, one connection per POST.
 They retry transient failures with exponential backoff, and re-ask a reply
 that fails to parse. Inside :func:`in_flight`, a live request holds one of its
 endpoint's slots only while it is on the wire, never while it backs off or is
@@ -13,10 +13,9 @@ pairings and mimic answers. It returns the parsed reply, or raises the failure
 with ``asks`` set. Mock backends replay recorded fixtures: JSONL lines of
 ``{"request_digest": ..., "response_text": ...}`` keyed by a SHA-256
 digest of the request's canonical JSON, so replays are deterministic and
-byte-stable. The digest is unchanged from earlier versions, but a request
-built from a per-answer prompt head hashes only its own tail after the head,
-and the prefix that every head of one system, model, temperature and
-``max_tokens`` shares is hashed once per process.
+byte-stable. A request built from a per-answer prompt head hashes only its
+own tail after the head, and the prefix that every head of one system,
+model, temperature and ``max_tokens`` shares is hashed once per process.
 """
 
 from __future__ import annotations
@@ -41,8 +40,11 @@ from .errors import (
 )
 from .prompts import ChatRequest, PromptHead
 
-DEFAULT_CONTENT_PATH = ("choices", 0, "message", "content")
-DEFAULT_EMBEDDING_PATH = ("data",)
+CONTENT_PATH = ("choices", 0, "message", "content")  # a chat reply's text
+EMBEDDING_PATH = ("data",)  # a list of ``{"embedding": [...]}``, one per input text
+# The fields only a live backend reads; a mock reads kind, name, model and fixture_path.
+_LIVE_FIELDS = ("endpoint", "auth_header", "auth_template", "auth_env", "max_in_flight",
+                "retry_limit")
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ class BackendSpec:
     # (the least among the batch's backends there); one backing off holds no slot
     max_in_flight: int = 4
     retry_limit: int = 3
-    content_path: tuple = DEFAULT_CONTENT_PATH
 
     def __post_init__(self):
         if self.kind not in ("live", "mock"):
@@ -84,6 +85,13 @@ class BackendSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BackendSpec":
+        """A backend from its config entry, which sets only the fields its kind reads: a
+        mock none of ``_LIVE_FIELDS``, a live backend no ``fixture_path``."""
+        kind = doc.get("kind", cls.kind)
+        unread = _LIVE_FIELDS if kind == "mock" else ("fixture_path",) if kind == "live" else ()
+        for key in doc:
+            if key in unread:
+                raise ValueError(f"a {kind} backend does not read {key!r}")
         return read_fields(cls, doc)
 
 
@@ -281,7 +289,7 @@ def _post_with_retries(backend: BackendSpec, body: dict):
                       headers={"Content-Type": "application/json", **_auth_headers(backend)})
     slot = _slots.get(backend.endpoint) or contextlib.nullcontext()
     outcomes = [] if _outcomes is None else _outcomes  # outside a block, a throwaway list
-    last_error = None
+    last_error = ""  # the reason only: a caught exception's traceback holds this frame
     for attempt in range(backend.retry_limit + 1):
         if attempt:
             time.sleep(min(0.5 * 2 ** (attempt - 1), 8.0))
@@ -294,12 +302,12 @@ def _post_with_retries(backend: BackendSpec, body: dict):
                     with exc:
                         status, data = exc.code, exc.read()
         except (OSError, HTTPException) as exc:  # refused, reset, timed out, cut short
-            last_error = exc
+            last_error = str(exc)
             continue
         if status in (401, 403):
             raise AuthError(f"backend returned {status}")
         if status >= 500:
-            last_error = TransportError(f"backend returned {status}")
+            last_error = f"backend returned {status}"
             continue
         if not 200 <= status < 300:
             outcomes.append(False)
@@ -308,7 +316,7 @@ def _post_with_retries(backend: BackendSpec, body: dict):
         try:
             payload = json.loads(data)
         except ValueError as exc:  # a 2xx body that is not JSON is retried like a 5xx
-            last_error = TransportError(f"backend returned a body that is not JSON: {exc}")
+            last_error = f"backend returned a body that is not JSON: {exc}"
             continue
         outcomes.append(True)
         return payload
@@ -337,11 +345,11 @@ def complete(backend: BackendSpec, request: ChatRequest) -> str:
         body["max_tokens"] = request.max_tokens
     payload = _post_with_retries(backend, body)
     try:
-        text = _extract(payload, backend.content_path)
+        text = _extract(payload, CONTENT_PATH)
     except (KeyError, IndexError, TypeError):
         text = None
     if not isinstance(text, str):
-        raise TransportError(f"response missing content at {backend.content_path}")
+        raise TransportError(f"response missing content at {CONTENT_PATH}")
     return text
 
 
@@ -392,7 +400,7 @@ def embed(backend: BackendSpec, texts: list[str]) -> list[list[float]]:
     else:
         payload = _post_with_retries(backend, {"model": backend.model, "input": texts})
         try:
-            vectors = [item["embedding"] for item in _extract(payload, DEFAULT_EMBEDDING_PATH)]
+            vectors = [item["embedding"] for item in _extract(payload, EMBEDDING_PATH)]
         except (KeyError, IndexError, TypeError):
             vectors = None
     if not isinstance(vectors, list) or not all(

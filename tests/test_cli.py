@@ -773,9 +773,9 @@ def test_model_command(tmp_path):
                                   "action_AQ_provide_reasoning"]),
         trace_record("a2", "q1", ["action_AQ_assert_answer"]),
     ])
-    out = tmp_path / "model.json"
-    result = invoke("model", "--in", str(src), "--out", str(out),
-                    "--smoothing", "add_lambda:0.5")
+    out, config = tmp_path / "model.json", tmp_path / "c.json"
+    config.write_text(json.dumps({"smoothing": {"mode": "add_lambda", "lambda": 0.5}}))
+    result = invoke("model", "--in", str(src), "--out", str(out), "--config", str(config))
     assert result.exit_code == 0, result.output
     doc = json.loads(out.read_text())
     assert doc["training_sequences"] == 2
@@ -809,30 +809,29 @@ def test_model_command_mle_and_unknown_smoothing(tmp_path):
     src = tmp_path / "traces.jsonl"
     write_jsonl(src, [trace_record("a1", "q1", ["action_AQ_assert_answer",
                                                 "action_AQ_provide_reasoning"])])
-    out = tmp_path / "model.json"
-    result = invoke("model", "--in", str(src), "--out", str(out), "--smoothing", "mle")
+    out, config = tmp_path / "model.json", tmp_path / "c.json"
+    config.write_text(json.dumps({"smoothing": {"mode": "mle"}}))
+    result = invoke("model", "--in", str(src), "--out", str(out), "--config", str(config))
     assert result.exit_code == 0, result.output
     assert json.loads(out.read_text())["smoothing"]["mode"] == "mle"
-    result = invoke("model", "--in", str(src), "--out", str(out), "--smoothing", "laplace")
+    config.write_text(json.dumps({"smoothing": {"mode": "laplace"}}))
+    result = invoke("model", "--in", str(src), "--out", str(out), "--config", str(config))
     assert result.exit_code == 1, result.output
-    assert result.stderr.startswith("error: unknown smoothing 'laplace'")
+    assert result.stderr.startswith(
+        f"error: config {config}: smoothing: unknown smoothing mode 'laplace'")
 
 
-@pytest.mark.parametrize("flag, error", [
-    ("add_lambdaTYPO", "unknown smoothing 'add_lambdaTYPO'"),
-    ("add_lambda:nan", "smoothing 'add_lambda:nan': lambda must be positive and finite"),
-    ("add_lambda:inf", "smoothing 'add_lambda:inf': lambda must be positive and finite"),
-    ("add_lambda:0", "smoothing 'add_lambda:0': lambda must be positive and finite"),
-    ("add_lambda:", "smoothing 'add_lambda:': could not convert"),
-])
-def test_a_smoothing_flag_is_a_known_mode_and_a_positive_finite_lambda(tmp_path, flag, error):
-    src = tmp_path / "traces.jsonl"
-    write_jsonl(src, [trace_record("a1", "q1", ["action_AQ_assert_answer"])])
-    out = tmp_path / "model.json"
-    result = invoke("model", "--in", str(src), "--out", str(out), "--smoothing", flag)
+def test_an_empty_trace_file_is_named(tmp_path):
+    one, empty = tmp_path / "one.jsonl", tmp_path / "empty.jsonl"
+    write_jsonl(one, [trace_record("a1", "q1", ["action_AQ_assert_answer"])])
+    empty.write_text("")
+    result = invoke("compare", "--corpora", f"A={one}", "--corpora", f"B={empty}",
+                    "--out", str(tmp_path / "m.csv"))
     assert result.exit_code == 1, result.output
-    assert result.stderr.startswith(f"error: {error}"), result.stderr
-    assert not out.exists()
+    assert result.stderr == f"error: {empty}: need at least one trace\n"
+    result = invoke("model", "--in", str(empty), "--out", str(tmp_path / "m.json"))
+    assert result.exit_code == 1, result.output
+    assert result.stderr == f"error: {empty}: need at least one trace\n"
 
 
 @pytest.mark.parametrize("first, second, name", [
@@ -1069,6 +1068,8 @@ def test_analyze_commands_equal_the_library_path(tmp_path):
     smoothing = Smoothing(mode="add_lambda", lam=0.5)
     out = tmp_path / "out"
     out.mkdir()
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"smoothing": {"mode": "add_lambda", "lambda": 0.5}}))
 
     for family_level in (False, True):
         flag = ["--family-level"] if family_level else []
@@ -1077,7 +1078,7 @@ def test_analyze_commands_equal_the_library_path(tmp_path):
         project = (lambda t: project_families(t, ontology)) if family_level else list
         result = invoke("compare", "--corpora", f"L={left}", "--corpora", f"R={right}",
                         "--out", str(out / "m.csv"), "--json-out", str(out / "m.json"),
-                        "--smoothing", "add_lambda:0.5", *flag)
+                        "--config", str(config), *flag)
         assert result.exit_code == 0, result.output
         matrix = cross_perplexity_matrix(
             {"L": project(left_traces), "R": project(right_traces)}, smoothing,
@@ -1085,7 +1086,7 @@ def test_analyze_commands_equal_the_library_path(tmp_path):
         assert (out / "m.json").read_text() == matrix.to_json()
 
         result = invoke("model", "--in", str(left), "--out", str(out / "model.json"),
-                        "--smoothing", "add_lambda:0.5", *flag)
+                        "--config", str(config), *flag)
         assert result.exit_code == 0, result.output
         model = fit_bigram(project(left_traces), smoothing, vocabulary=vocabulary)
         doc = json.loads((out / "model.json").read_text())
@@ -1199,6 +1200,9 @@ def test_a_subcommand_help_exits_0():
      "--max-tokens", "many"],
     ["mimic-answer", "--in", "{d}/a.jsonl", "--out", "{d}/o.jsonl", "--config", "{d}/c.json",
      "--subreddit", "s", "--explanation", "e", "--guidelines-file", "{d}/missing.md"],
+    # the smoothing is set only by the config
+    ["model", "--in", "{d}/a.jsonl", "--out", "{d}/o.jsonl", "--smoothing", "mle"],
+    ["compare", "--corpora", "{d}/a.jsonl", "--out", "{d}/o.jsonl", "--smoothing", "mle"],
 ])
 def test_a_usage_error_is_an_input_error(tmp_path, args):
     # Exit 2 is a backend failure; a command line that cannot run is an input error.
@@ -1757,6 +1761,24 @@ BAD_CONFIGS = [
     ({"dedup_threshold": 10 ** 400}, "dedup_threshold is too large for a float\n"),
     pytest.param('{"boundary": ' + "[" * 100_000 + "]" * 100_000 + "}",
                  "maximum recursion depth exceeded", id="too-deep"),
+    ({"act_labeler": {"kind": "mock", "endpoint": "http://127.0.0.1:9/v1"}},
+     "act_labeler: a mock backend does not read 'endpoint'\n"),
+    ({"act_labeler": {"fixture_path": "f.jsonl", "max_in_flight": 4}},
+     "act_labeler: a mock backend does not read 'max_in_flight'\n"),
+    ({"embedder": {"kind": "mock", "retry_limit": 0}},
+     "embedder: a mock backend does not read 'retry_limit'\n"),
+    ({"interp_generators": [{"kind": "mock", "auth_env": "TOKEN"}]},
+     "interp_generators: a mock backend does not read 'auth_env'\n"),
+    ({"act_labeler": {"kind": "live", "endpoint": "http://127.0.0.1:9/v1",
+                      "fixture_path": "f.jsonl"}},
+     "act_labeler: a live backend does not read 'fixture_path'\n"),
+    ({"act_labeler": {"kind": "live", "endpoint": "http://127.0.0.1:9/v1",
+                      "content_path": ["choices", 0, "text"]}},
+     "act_labeler: unknown key 'content_path'\n"),
+    ({"act_labeler": {"kind": "mock", "content_path": []}},
+     "act_labeler: unknown key 'content_path'\n"),
+    ({"smoothing": {"mode": "laplace"}}, "smoothing: unknown smoothing mode 'laplace'\n"),
+    ({"smoothing": {"lambda": 0}}, "smoothing: lambda must be positive and finite, not 0.0\n"),
 ]
 
 

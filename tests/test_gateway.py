@@ -556,6 +556,14 @@ def test_live_auth_header(monkeypatch):
     assert heard["authorization"] == "Bearer sekret"
     assert heard["content-type"] == "application/json"
 
+    with http_stub(_in_turn([(200, _chat_payload("ok"))])) as (endpoint, stats):
+        backend = BackendSpec(kind="live", endpoint=endpoint, auth_env="TEST_TOKEN",
+                              auth_header="api-key", auth_template="{token}")
+        complete(backend, make_request())
+    heard = stats.headers[0]
+    assert heard["api-key"] == "sekret"
+    assert "authorization" not in heard
+
 
 def test_live_missing_auth_env():
     with http_stub(_in_turn([])) as (endpoint, _):

@@ -1,14 +1,18 @@
-"""Every name the benchmark's tracer wraps still exists in the package, and the
-benchmark's traced entry point still runs a command.
+"""Every name the benchmark's tracer wraps still exists in the package, the
+benchmark's traced entry point still runs a command, and the configs the
+benchmark writes still load.
 
 A renamed or removed function would leave its per-layer figure at 0 in every
-benchmark run, with no error; these tests fail instead.
+benchmark run, and a config rule that rejects a benchmark config would fail
+every run of its workload; these tests fail instead.
 """
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+from discotrace.config import PipelineConfig
 
 from conftest import write_jsonl
 
@@ -42,3 +46,20 @@ def test_the_traced_entry_point_runs_a_command(tmp_path):
     assert doc["exit_code"] == 0
     assert doc["absent"] == []
     assert any(span[1] == "rst.parse" for span in doc["spans"])
+
+
+def test_the_benchmark_configs_load(tmp_path, monkeypatch):
+    # The roles of the mock config that workloads.prepare_trace writes.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    mocks = {name: workloads._mock(name) for name in workloads.MODELS}
+    for mock in mocks.values():
+        (tmp_path / mock["fixture_path"]).touch()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "act_labeler": mocks["act"], "interp_labeler": mocks["interp"],
+        "interp_generators": [mocks["gen_a"], mocks["gen_b"]], "embedder": mocks["embed"]}))
+    live = workloads.live_config(tmp_path, "http://127.0.0.1:9/v1", 4)
+    assert PipelineConfig.from_file(config).embedder.name == "embed"
+    assert PipelineConfig.from_file(live).interp_labeler.max_in_flight == 4

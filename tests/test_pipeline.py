@@ -19,7 +19,7 @@ from discotrace.gateway import append_fixture, request_digest
 from discotrace.interpretations import Interpretation, InterpretationSpace
 from discotrace.pipeline import DiscoTrace, TraceStep
 
-from conftest import chain_tree, http_stub, leaf, node, record_fixture_by_replay
+from conftest import chain_tree, closed_port, http_stub, leaf, node, record_fixture_by_replay
 
 
 def mock_backend(tmp_path, name="tagger", retry_limit=1):
@@ -180,22 +180,24 @@ def test_parse_failure_leaves_no_reference_cycle(tmp_path):
 
 
 def test_transport_failure_leaves_no_reference_cycle():
-    # As above, for the TransportError of a live backend that answers 503.
+    # As above, for the TransportError of a live backend that answers 503, and of one
+    # that refuses the connection: the caught OSError's traceback holds the frames too.
     doc = {"edu": "hello there"}
     with http_stub(lambda body: (503, {})) as (endpoint, stats):
-        backend = BackendSpec(kind="live", endpoint=endpoint, retry_limit=0)
-        gc.disable()
-        try:
-            tree = parse_rst_tree(doc)
-            alive = weakref.ref(tree)
-            _, diagnostics = tag_answer("Q?", "hello there", segment_answer(tree), tree,
-                                        load_ont(), backend)
-            del tree
-            assert alive() is None
-        finally:
-            gc.enable()
+        for endpoint in (endpoint, f"http://127.0.0.1:{closed_port()}/v1"):
+            backend = BackendSpec(kind="live", endpoint=endpoint, retry_limit=0)
+            gc.disable()
+            try:
+                tree = parse_rst_tree(doc)
+                alive = weakref.ref(tree)
+                _, diagnostics = tag_answer("Q?", "hello there", segment_answer(tree), tree,
+                                            load_ont(), backend)
+                del tree
+                assert alive() is None, endpoint
+            finally:
+                gc.enable()
+            assert diagnostics[0].startswith("transport failure on segment (0,) after 1 ask: ")
     assert stats.posts == 1
-    assert diagnostics[0].startswith("transport failure on segment (0,) after 1 ask: ")
 
 
 PAIR_TREE = parse_rst_tree(chain_tree(3))  # EDUs e0, e1, e2
