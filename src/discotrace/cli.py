@@ -16,6 +16,18 @@ records finished before that point. Ctrl-C exits 130. A usage error (a missing o
 unknown option, a value of the wrong type, no subcommand) is an input error, exit 1.
 The command line is parsed by the standard library's ``argparse``: no option may be
 abbreviated, and only ``--help`` asks for help.
+
+A process pays only for the command it runs. At module level this file imports
+``corpus``, ``config``, ``errors`` and ``ontology``; each command imports the rest of
+what it runs, and ``main`` builds the parser of that command alone (of all nine for
+``--help`` or a command line that names none). So ``compare`` and ``model`` never load
+``gateway``, ``prompts``, ``rst``, ``segmentation`` or ``pipeline``, and ``interp``
+loads no ``rst``, ``segmentation``, ``pipeline`` or ``stats``. The six functions that
+the benchmark's tracer wraps by their name here (``parse_rst_tree``, ``segment_answer``,
+``tag_answer``, ``pair_interpretations``, ``cross_perplexity_matrix`` and
+``interpretation_metrics``) stay attributes of this module: each is a stand-in that
+imports its module on its first call, and the commands call them by that name, so a
+wrapper set on the name is called.
 """
 
 from __future__ import annotations
@@ -23,25 +35,38 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 from pathlib import Path
 from typing import Iterator
 
 from . import corpus as corpus_io
-from . import gateway
 from .config import PipelineConfig
 from .errors import BackendError, UnparsableResponse
-from .interpretations import InterpretationSpace, build_space
 from .ontology import load_ontology
-from .pipeline import pair_interpretations, tag_answer
-from .prompts import build_mimic_prompt
-from .rst import parse_rst_tree
-from .segmentation import segment_answer
-from .stats import (
-    cross_perplexity_matrix,
-    fit_bigram,
-    interpretation_metrics,
-    project_families,
-)
+
+
+def _on_first_call(module: str, name: str):
+    """A stand-in for ``discotrace.<module>.<name>`` that imports the module on its first
+    call and keeps the function it finds there. It never rebinds its own name here."""
+    target = None
+
+    def call(*args, **kwargs):
+        nonlocal target
+        if target is None:
+            target = getattr(import_module(f".{module}", __package__), name)
+        return target(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+parse_rst_tree = _on_first_call("rst", "parse_rst_tree")
+segment_answer = _on_first_call("segmentation", "segment_answer")
+tag_answer = _on_first_call("pipeline", "tag_answer")
+pair_interpretations = _on_first_call("pipeline", "pair_interpretations")
+cross_perplexity_matrix = _on_first_call("stats", "cross_perplexity_matrix")
+interpretation_metrics = _on_first_call("stats", "interpretation_metrics")
+
 
 def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> Iterator[dict]:
     """Map ``run_one`` over ``in_path``'s records, writing each result to ``out_path``,
@@ -59,6 +84,8 @@ def _run_batch(in_path, out_path, run_one, noun, id_key, backends=()) -> Iterato
     name is the record's ``id_key``, or its 1-based position when that is not a string: an
     input error as its ``corpus.input_error``, a backend error keeping its type. The outage
     that ``in_flight`` raises when the batch's live calls all failed names no record."""
+    from . import gateway
+
     records = corpus_io.read_corpus(in_path)
     positions = range(1, len(records) + 1)
 
@@ -122,10 +149,14 @@ def _option(flag, dest=None, **kwargs):
     return add
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(argv: list) -> argparse.ArgumentParser:
+    """The parser of the command that ``argv[0]`` names, or of all nine when it names none,
+    so that ``--help`` and every usage error read as they would with all nine."""
     parser = _Parser(prog="discotrace", description="Discourse-trace answer analysis toolkit.")
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
-    for name, fn in _COMMANDS.items():
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        fn = _COMMANDS[name]
         command = commands.add_parser(name, help=fn.__doc__.partition("\n")[0],
                                       description=fn.__doc__)
         for flag, kwargs in fn.options:
@@ -138,8 +169,9 @@ def main(argv=None) -> None:
     """Run the subcommand that ``argv`` (default ``sys.argv[1:]``) names, and return.
     Errors exit as the module docstring says: 2 on a backend failure, 1 on an input error
     (a usage error is one), 130 on Ctrl-C."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = vars(_parser().parse_args(argv))
+        args = vars(_parser(argv).parse_args(argv))
         args.pop("run")(**args)
     except corpus_io.INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -222,6 +254,8 @@ def segment_cmd(in_path, out_path, config_path):
 @_option("--config", "config_path", required=True)
 def interp_cmd(in_path, out_path, config_path):
     """Generate and deduplicate the interpretation space per question."""
+    from .interpretations import build_space
+
     config = PipelineConfig.from_file(config_path)
     if not config.interp_generators or config.embedder is None:
         raise ValueError(f"config {config_path}: must define interp_generators and embedder")
@@ -307,7 +341,11 @@ def _act_sequences(path, ontology, family_level: bool) -> list:
     traces = corpus_io.read_corpus(path, view=read)
     if not traces:
         raise ValueError(f"{path}: need at least one trace")
-    return project_families(traces, ontology) if family_level else traces
+    if not family_level:
+        return traces
+    from .stats import project_families
+
+    return project_families(traces, ontology)
 
 
 def _step_view(ontology):
@@ -333,6 +371,8 @@ def _step_view(ontology):
 
 
 def _read_spaces(path) -> dict:
+    from .interpretations import InterpretationSpace
+
     spaces = corpus_io.read_corpus(path, view=InterpretationSpace.from_dict)
     return {space.question_id: space for space in spaces}
 
@@ -350,9 +390,11 @@ def _vocabulary(ontology, family_level: bool) -> list:
 @_option("--family-level", action="store_true")
 def model_cmd(in_path, out_path, config_path, family_level):
     """Fit a bigram strategy model over act sequences."""
+    from .stats import Smoothing, fit_bigram
+
     config = PipelineConfig.from_file(config_path)
     ontology = load_ontology(config.ontology_path)
-    smoothing = config.smoothing
+    smoothing = config.smoothing or Smoothing()
     model = fit_bigram(_act_sequences(in_path, ontology, family_level), smoothing,
                        vocabulary=_vocabulary(ontology, family_level))
     Path(out_path).write_text(json.dumps({
@@ -375,6 +417,8 @@ def model_cmd(in_path, out_path, config_path, family_level):
 @_option("--family-level", action="store_true")
 def compare_cmd(corpora, out_path, json_out, long_csv_out, config_path, family_level):
     """Cross-perplexity matrix across trace corpora."""
+    from .stats import Smoothing
+
     config = PipelineConfig.from_file(config_path)
     ontology = load_ontology(config.ontology_path)
     named = {}
@@ -386,7 +430,7 @@ def compare_cmd(corpora, out_path, json_out, long_csv_out, config_path, family_l
         if name in named:
             raise ValueError(f"corpus name {name!r} is given twice")
         named[name] = _act_sequences(path, ontology, family_level)
-    matrix = cross_perplexity_matrix(named, config.smoothing,
+    matrix = cross_perplexity_matrix(named, config.smoothing or Smoothing(),
                                      vocabulary=_vocabulary(ontology, family_level))
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
         matrix.write_csv(handle)
@@ -458,6 +502,9 @@ def _nonempty_text(reply: str) -> str:
 def mimic_cmd(in_path, out_path, config_path, subreddit, explanation,
               guidelines_file, max_tokens):
     """Generate answers as a member of a community, via its guidelines."""
+    from . import gateway
+    from .prompts import build_mimic_prompt
+
     if max_tokens < 1:
         raise ValueError(f"--max-tokens must be at least 1, not {max_tokens}")
     config = PipelineConfig.from_file(config_path)

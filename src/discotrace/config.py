@@ -1,18 +1,27 @@
-"""Pipeline configuration file (JSON) and its validation."""
+"""Pipeline configuration file (JSON) and its validation.
+
+Reading a config imports only what its keys need: ``gateway`` for a backend entry,
+``segmentation`` for ``boundary`` and ``stats`` for ``smoothing``. So a command pays
+for no module it does not run. ``boundary`` and ``smoothing`` stay None until a config
+sets them, and the command that uses one falls back to the library default
+(``BoundaryConfig()``, ``Smoothing()``).
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .corpus import INPUT_ERRORS, input_error, of_type, read_fields
-from .gateway import BackendSpec
-from .interpretations import DEFAULT_DEDUP_THRESHOLD
-from .segmentation import BoundaryConfig
-from .stats import Smoothing
+
+if TYPE_CHECKING:
+    from .gateway import BackendSpec
+    from .segmentation import BoundaryConfig
+    from .stats import Smoothing
+
+DEFAULT_DEDUP_THRESHOLD = 0.85
 
 
 @dataclass
@@ -23,8 +32,8 @@ class PipelineConfig:
     embedder: Optional[BackendSpec] = None
     answer_generator: Optional[BackendSpec] = None
     ontology_path: Optional[str] = None
-    boundary: BoundaryConfig = field(default_factory=BoundaryConfig)
-    smoothing: Smoothing = field(default_factory=Smoothing)
+    boundary: Optional[BoundaryConfig] = None  # None: BoundaryConfig()
+    smoothing: Optional[Smoothing] = None  # None: Smoothing()
     dedup_threshold: float = DEFAULT_DEDUP_THRESHOLD
 
     def __post_init__(self):
@@ -38,6 +47,8 @@ class PipelineConfig:
         keeps the field's default. A value of the wrong shape raises ``TypeError`` or
         ``ValueError`` naming its key. Unknown top-level keys are ignored."""
         def spec_of(spec):
+            from .gateway import BackendSpec
+
             spec = dict(of_type("a backend", spec, dict))
             if isinstance(spec.get("fixture_path"), str) and base_dir is not None:
                 spec["fixture_path"] = str((base_dir / spec["fixture_path"]).resolve())
@@ -54,6 +65,16 @@ class PipelineConfig:
                 raise ValueError(f"{path!r} is not a file")
             return path
 
+        def boundary_of(doc):
+            from .segmentation import BoundaryConfig
+
+            return read_fields(BoundaryConfig, doc)
+
+        def smoothing_of(doc):
+            from .stats import Smoothing
+
+            return read_fields(Smoothing, doc, keys={"lam": "lambda"})
+
         readers = {
             "act_labeler": (dict, spec_of),
             "interp_generators": (list, lambda specs: [spec_of(spec) for spec in specs]),
@@ -61,8 +82,8 @@ class PipelineConfig:
             "embedder": (dict, spec_of),
             "answer_generator": (dict, spec_of),
             "ontology_path": (str, ontology_at),
-            "boundary": (dict, partial(read_fields, BoundaryConfig)),
-            "smoothing": (dict, partial(read_fields, Smoothing, keys={"lam": "lambda"})),
+            "boundary": (dict, boundary_of),
+            "smoothing": (dict, smoothing_of),
             "dedup_threshold": (float, float),
         }
         values = {}

@@ -159,7 +159,11 @@ def load_fixture(path: str) -> dict[str, str]:
     cache together read the file once. Each read also drops the cached
     files that no longer exist, and reads the file by ``corpus.read_lines``
     as ``fixture <path>``: each line a JSON object with a text
-    ``request_digest`` and ``response_text``."""
+    ``request_digest`` and ``response_text``.
+
+    Each call stats the file. A mock call inside an :func:`in_flight` block calls this
+    once per fixture and block, and keeps the result until the block exits, so a batch
+    stats each fixture once and the next block sees a file rewritten in between."""
     key = os.fspath(path)
     mtime = os.path.getmtime(key)
     cached = _fixture_cache.get(key)
@@ -198,9 +202,17 @@ def append_fixture(path: str, digest: str, response_text: str) -> None:
 
 
 def _mock_entries(backend: BackendSpec) -> dict[str, str]:
-    if not backend.fixture_path:
+    """The backend's fixture: :func:`load_fixture`'s, once per :func:`in_flight` block."""
+    path = backend.fixture_path
+    if not path:
         raise ValueError("mock backend requires fixture_path")
-    return load_fixture(backend.fixture_path)
+    fixtures = _fixtures
+    if fixtures is None:
+        return load_fixture(path)
+    entries = fixtures.get(path)
+    if entries is None:  # threads that miss together each load it; the cache reads it once
+        entries = fixtures[path] = load_fixture(path)
+    return entries
 
 
 def _auth_headers(backend: BackendSpec) -> dict[str, str]:
@@ -249,6 +261,7 @@ class _Slots:
 
 _slots: dict[str, _Slots] = {}
 _outcomes: Optional[list[bool]] = None  # per block: whether each live POST got a reply
+_fixtures: Optional[dict[str, dict[str, str]]] = None  # per block: each mock fixture read
 
 
 @contextlib.contextmanager
@@ -257,22 +270,25 @@ def in_flight(backends):
     ``max_in_flight`` among the live ``backends`` that name it; yield the number of
     slots over all endpoints, 0 when none is live. Other endpoints are not limited.
     If the block made live POSTs and each ended in ``TransportError``, a normal exit
-    raises ``TransportError``: a total outage is a failure, not a degraded run. The
-    slots and the outcomes are process-wide, and an inner block replaces them until
-    it exits. A call outside any block is neither limited nor counted."""
-    global _slots, _outcomes
+    raises ``TransportError``: a total outage is a failure, not a degraded run.
+    Inside the block a mock fixture is stat'ed and looked up once (:func:`load_fixture`),
+    and a later block checks its mtime again. The slots, the outcomes and the fixtures
+    read are process-wide, and an inner block replaces them until it exits. A call
+    outside any block is neither limited nor counted, and loads its fixture each time."""
+    global _slots, _outcomes, _fixtures
     limits: dict[str, int] = {}
     for backend in backends:
         if backend.kind == "live":
             limits[backend.endpoint] = min(backend.max_in_flight,
                                            limits.get(backend.endpoint, backend.max_in_flight))
-    outer = _slots, _outcomes
+    outer = _slots, _outcomes, _fixtures
     _slots = {endpoint: _Slots(n) for endpoint, n in limits.items()}
     _outcomes = outcomes = []
+    _fixtures = {}
     try:
         yield sum(limits.values())
     finally:
-        _slots, _outcomes = outer
+        _slots, _outcomes, _fixtures = outer
     if outcomes and not any(outcomes):
         raise TransportError(f"every backend call failed ({len(outcomes)} of {len(outcomes)})")
 

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from . import gateway
+from .config import DEFAULT_DEDUP_THRESHOLD
 from .corpus import of_type, typed
 from .errors import TransportError, UnparsableResponse
-from .gateway import BackendSpec
 from .prompts import build_interp_gen_prompt, parse_interp_list
 
-DEFAULT_DEDUP_THRESHOLD = 0.85
+if TYPE_CHECKING:
+    from .gateway import BackendSpec
 
 
 @dataclass
@@ -80,6 +81,8 @@ def generate_raw(
     last failure propagates as ``gateway.ask`` raised it. A fixture miss or an auth
     error raises at once.
     """
+    from . import gateway  # here, so that reading a space loads no backend code
+
     if not backends:
         raise ValueError("at least one generator backend required")
     pooled: list[tuple[str, str]] = []
@@ -130,6 +133,8 @@ def deduplicate(
     space = InterpretationSpace(question_id=question_id, dedup_threshold=threshold)
     if not raw:
         return space
+
+    from . import gateway
 
     # tuples: math.dist would copy a list on every call
     vectors = [tuple(v) for v in gateway.embed(embedder, [text for _, text in raw])]

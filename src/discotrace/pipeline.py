@@ -14,7 +14,7 @@ how often it is asked and returns it or raises. Both stages catch a failure in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import gateway
@@ -206,5 +206,5 @@ def pair_interpretations(
             interpretation_id = _ask(backend, request, step.edu_indices, "interpretation",
                                      trace.diagnostics,
                                      lambda raw: parse_interp_label(raw, known_ids))
-        trace.steps.append(replace(step, interpretation_id=interpretation_id))
+        trace.steps.append(TraceStep(step.act_id, step.edu_indices, interpretation_id))
     return trace

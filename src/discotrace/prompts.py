@@ -297,6 +297,8 @@ _FENCE_RE = re.compile(r"^```[a-zA-Z]*\n?|\n?```$", re.MULTILINE)
 
 
 def _strip_fences(raw: str) -> str:
+    if "```" not in raw:  # no fence for the regex to remove
+        return raw.strip()
     return _FENCE_RE.sub("", raw.strip()).strip()
 
 

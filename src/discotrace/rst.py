@@ -90,7 +90,10 @@ class RstTree:
 
 
 def normalize_relation(label: str) -> str:
-    """Case-normalize a relation label to Title-Case, hyphens preserved."""
+    """Case-normalize a relation label to Title-Case, hyphens preserved; a label of
+    ``RELATIONS`` is already in that form."""
+    if label in RELATIONS:
+        return label
     return "-".join(part.capitalize() for part in label.split("-"))
 
 

@@ -19,7 +19,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, groupby, islice, repeat
 from operator import mul
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (
     EmptyCorpus,
@@ -28,9 +28,11 @@ from .errors import (
     UnknownSpaceReference,
     ZeroProbabilityTransition,
 )
-from .interpretations import InterpretationSpace
 from .ontology import NONE_ACT_ID, Ontology, is_eligible
-from .pipeline import DiscoTrace
+
+if TYPE_CHECKING:  # for annotations only: a trace is told by its attributes
+    from .interpretations import InterpretationSpace
+    from .pipeline import DiscoTrace
 
 START = "<START>"
 END = "<END>"
@@ -49,8 +51,9 @@ class Smoothing:
 
 
 def _as_sequences(traces) -> list[list[str]]:
-    """Each trace's act ids: a list as it is, a ``DiscoTrace``'s act sequence, else a list."""
-    return [t if type(t) is list else t.act_sequence() if isinstance(t, DiscoTrace) else list(t)
+    """Each trace's act ids: a list as it is, a ``DiscoTrace``'s act sequence (anything with
+    ``act_sequence``), else a list."""
+    return [t if type(t) is list else t.act_sequence() if hasattr(t, "act_sequence") else list(t)
             for t in traces]
 
 
@@ -164,31 +167,39 @@ def fit_bigram(
     return BigramModel(vocab, counts, smoothing, len(sequences))
 
 
-def _raise_first_failure(model: BigramModel, sequences: list[list[str]]):
-    """Score transitions in order; the error names the first the model cannot score."""
-    for prev, nxt in iter_transitions(sequences):
-        model.probability(prev, nxt)
+def _raise_first_failure(model: BigramModel, sequences: list[list[str]], where=None):
+    """Score transitions in order; the error names the first the model cannot score, after
+    ``where`` when it is given."""
+    try:
+        for prev, nxt in iter_transitions(sequences):
+            model.probability(prev, nxt)
+    except ZeroProbabilityTransition as exc:
+        if where:
+            exc.args = (f"{where}: {exc}",)
+        raise
     raise AssertionError("count matrix and transition walk disagree")
 
 
-def _perplexities(models: list[BigramModel], counts: list[Counter], sequences) -> list[list]:
+def _perplexities(models: list[BigramModel], counts: list[Counter], sequences,
+                  names=None) -> list[list]:
     """exp(-sum(E_j * log P_i) / sum(E_j)) for every model i and count Counter E_j, the sum
     taken by ``math.fsum`` over E_j's cells in E_j's own order. Pairs are scored in
     row-major order; the first whose model gives one of its cells probability 0 walks
-    the corpus ``sequences[j]`` to name the transition. All models share one vocabulary."""
+    the corpus ``sequences[j]`` to name the transition, as ``<names[j]> under <names[i]>``
+    when ``names`` is given. All models share one vocabulary."""
     width = len(models[0].vocabulary) + 1
     cells = [(r, c) for r in range(width) for c in range(width)]
     # Each corpus's cells as indexes into ``cells``, with their counts and total.
     corpora = [([r * width + c for r, c in e], list(e.values()), e.total()) for e in counts]
     rows = []
-    for model in models:
+    for i, model in enumerate(models):
         log_p = [math.log(p) if p else -math.inf
                  for p in (model._cell_probability(r, c) for r, c in cells)]
         row = []
-        for (keys, values, total), seqs in zip(corpora, sequences):
+        for j, ((keys, values, total), seqs) in enumerate(zip(corpora, sequences)):
             log_likelihood = math.fsum(map(mul, values, map(log_p.__getitem__, keys)))
             if log_likelihood == -math.inf:
-                _raise_first_failure(model, seqs)
+                _raise_first_failure(model, seqs, names and f"{names[j]} under {names[i]}")
             row.append(math.exp(-log_likelihood / total))
         rows.append(row)
     return rows
@@ -240,7 +251,9 @@ def cross_perplexity_matrix(
     smoothing: Smoothing = Smoothing(),
     vocabulary: Optional[Sequence[str]] = None,
 ) -> PerplexityMatrix:
-    """Fit one model per corpus and evaluate it on every corpus."""
+    """Fit one model per corpus and evaluate it on every corpus. A transition that a model
+    gives probability 0 raises ``ZeroProbabilityTransition`` naming the evaluation corpus
+    under the training corpus: ``<eval> under <train>: zero-probability transition ...``."""
     if not corpora:
         raise EmptyCorpus("need at least one corpus")
     names = list(corpora)
@@ -248,7 +261,7 @@ def cross_perplexity_matrix(
     if vocabulary is None:
         vocabulary = sorted(set().union(*(seq for corpus in sequences for seq in corpus)))
     models = [fit_bigram(corpus, smoothing, vocabulary) for corpus in sequences]
-    values = _perplexities(models, [m.transitions for m in models], sequences)
+    values = _perplexities(models, [m.transitions for m in models], sequences, names)
     return PerplexityMatrix(row_labels=names, col_labels=list(names), values=values)
 
 
@@ -271,9 +284,10 @@ class InterpretationMetrics:
 
 def _as_step_views(traces) -> list[tuple]:
     """Each trace as ``(answer_id, question_id, [(act_id, interpretation_id), ...])``;
-    a trace already in that shape is kept as it is."""
+    a trace already in that shape is kept as it is, and a ``DiscoTrace`` is anything with
+    ``steps``."""
     return [(t.answer_id, t.question_id, [(s.act_id, s.interpretation_id) for s in t.steps])
-            if isinstance(t, DiscoTrace) else t for t in traces]
+            if hasattr(t, "steps") else t for t in traces]
 
 
 def interpretation_metrics(

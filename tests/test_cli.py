@@ -1251,8 +1251,9 @@ def test_a_live_call_loads_no_third_party_http_client():
     assert stats.posts == 1
 
 
-def assert_never_loads_numpy(tmp_path, command):
-    """Run ``command`` in a fresh interpreter on inputs where it succeeds; numpy stays out."""
+def command_args(tmp_path, command):
+    """The arguments of ``command`` on small inputs, written to ``tmp_path``, where it
+    succeeds, and the output path it writes."""
     questions, answers, spaces, fixture, config_path, space = make_trace_inputs(tmp_path)
     seed_trace_fixture(fixture, space)
     interp_fixture, interp_config = tmp_path / "interp.jsonl", tmp_path / "interp.json"
@@ -1294,13 +1295,25 @@ def assert_never_loads_numpy(tmp_path, command):
                          "--subreddit", "s", "--explanation", "e",
                          "--guidelines-file", guidelines],
     }[command]
-    # The check runs at exit, after main() returns; a failed command exits nonzero.
-    result = run_python("import atexit, sys\n"
-                        "atexit.register(lambda: print('numpy' in sys.modules))\n"
+    return args, out
+
+
+def modules_at_exit(tmp_path, command) -> set:
+    """The names in ``sys.modules`` when ``command`` exits, run in a fresh interpreter on
+    inputs where it succeeds. The check runs at exit, after main() returns; a failed
+    command exits nonzero."""
+    args, out = command_args(tmp_path, command)
+    result = run_python("import atexit, json, sys\n"
+                        "atexit.register(lambda: print(json.dumps(sorted(sys.modules))))\n"
                         "from discotrace.cli import main\n"
                         "main()", command, *args)
-    assert result.stdout.splitlines()[-1] == "False", result.stdout
     assert out.exists()
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def assert_never_loads_numpy(tmp_path, command):
+    """Run ``command`` in a fresh interpreter on inputs where it succeeds; numpy stays out."""
+    assert "numpy" not in modules_at_exit(tmp_path, command)
 
 
 @pytest.mark.parametrize("command", ["trace", "segment", "filter", "sample", "metrics",
@@ -1313,6 +1326,65 @@ def test_a_command_that_computes_no_statistics_never_loads_numpy(tmp_path, comma
 def test_no_other_command_loads_numpy_either(tmp_path, command):
     # With the test above, every subcommand: the statistics run on plain Python numbers.
     assert_never_loads_numpy(tmp_path, command)
+
+
+def package_modules(names) -> set:
+    return {name.removeprefix("discotrace.") for name in names if name.startswith("discotrace.")}
+
+
+def test_importing_the_package_loads_no_submodule():
+    result = run_python("import json, sys, discotrace\nprint(json.dumps(sorted(sys.modules)))")
+    assert package_modules(json.loads(result.stdout)) == set()
+
+
+def test_importing_stats_loads_no_backend_tree_or_pipeline_code():
+    result = run_python("import json, sys, discotrace.stats\n"
+                        "print(json.dumps(sorted(sys.modules)))")
+    loaded = package_modules(json.loads(result.stdout))
+    assert loaded.isdisjoint({"gateway", "prompts", "rst", "segmentation", "pipeline"}), loaded
+
+
+# "data" is the folder of the default ontology, which importlib.resources imports.
+STATISTICS_MODULES = {"cli", "config", "corpus", "data", "errors", "ontology", "stats"}
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("compare", STATISTICS_MODULES),
+    ("model", STATISTICS_MODULES),
+    ("metrics", STATISTICS_MODULES | {"interpretations", "prompts"}),
+])
+def test_a_statistics_command_loads_only_the_modules_it_runs(tmp_path, command, expected):
+    # A fresh process per command: each module left out is one less to compile and run.
+    loaded = modules_at_exit(tmp_path, command)
+    assert package_modules(loaded) == expected
+    assert "hashlib" not in loaded
+
+
+@pytest.mark.parametrize("command, never", [
+    ("interp", {"rst", "segmentation", "pipeline", "stats"}),
+    ("trace", {"stats"}),
+])
+def test_a_backend_command_loads_no_module_it_does_not_run(tmp_path, command, never):
+    loaded = package_modules(modules_at_exit(tmp_path, command))
+    assert loaded.isdisjoint(never), loaded
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_a_command_help_is_that_of_the_parser_of_every_command(command, capsys):
+    # main builds only the parser of the command it runs; its help must not show it.
+    with pytest.raises(SystemExit) as done:
+        cli._parser([]).parse_args([command, "--help"])
+    assert done.value.code == 0
+    expected = capsys.readouterr().out
+    result = invoke(command, "--help")
+    assert result.exit_code == 0, result.output
+    assert result.stdout == expected
+
+
+def test_an_unknown_command_names_every_command():
+    result = invoke("segmentt")
+    assert result.exit_code == 1
+    assert all(repr(name) in result.stderr for name in cli._COMMANDS), result.stderr
 
 
 @pytest.mark.parametrize("command", ["filter", "model", "compare", "metrics", "mimic-answer"])
@@ -1413,6 +1485,20 @@ def test_compare_names_the_corpus_whose_line_is_bad(tmp_path):
     assert result.stderr == f"error: {bad}: line 2: unknown act id 'bogus'\n"
 
 
+def test_compare_names_both_corpora_of_a_zero_probability_transition(tmp_path):
+    # A model that gives an evaluation transition probability 0 (MLE) names the evaluation
+    # corpus under the training corpus, by their --corpora names.
+    a, b, config = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "mle.json"
+    write_jsonl(a, [trace_record("a1", "q1", ["action_AQ_assert_answer"])])
+    write_jsonl(b, [trace_record("b1", "q1", ["action_SI_counter_question"])])
+    config.write_text(json.dumps({"smoothing": {"mode": "mle"}}))
+    result = invoke("compare", "--corpora", f"A={a}", "--corpora", f"B={b}",
+                    "--out", str(tmp_path / "m.csv"), "--config", str(config))
+    assert result.exit_code == 1, result.output
+    assert result.stderr == ("error: B under A: zero-probability transition '<START>' -> "
+                             "'action_SI_counter_question'\n")
+
+
 def record_trace_fixture(fixture, answers, space):
     """Record mock responses for the requests ``trace`` makes for ``answers``."""
     backend = BackendSpec(kind="mock", name="labeler", model="m", fixture_path=str(fixture))
@@ -1499,6 +1585,47 @@ def test_mimic_failure_keeps_the_finished_answers(tmp_path):
     lines = full.read_text().splitlines(keepends=True)
     assert len(lines) == 3
     assert partial.read_text() == "".join(lines[:2])
+
+
+def record_mimic_replies(fixture, replies):
+    """Write ``fixture`` anew: the mimic reply to each title in ``replies``."""
+    fixture.write_text("")
+    for title, reply in replies.items():
+        request = build_mimic_prompt(question=title, subreddit_name="s",
+                                     subreddit_explanation="e", guidelines="Be thorough.",
+                                     model_name="m", max_tokens=1000)
+        append_fixture(fixture, request_digest(request), reply)
+
+
+def test_a_batch_stats_each_fixture_once(tmp_path, monkeypatch):
+    titles = ["Why is the sky blue?", "Why is grass green?", "Why is snow white?"]
+    fixture = tmp_path / "gen.jsonl"
+    record_mimic_replies(fixture, {title: f"Because of {title}" for title in titles})
+    run = mimic_inputs(tmp_path, titles, {"kind": "mock", "fixture_path": "gen.jsonl"})
+    stats, getmtime = [], os.path.getmtime
+
+    def counting_getmtime(path):
+        stats.append(os.fspath(path))
+        return getmtime(path)
+
+    monkeypatch.setattr(gateway.os.path, "getmtime", counting_getmtime)
+    assert run(tmp_path / "out.jsonl").exit_code == 0
+    assert stats.count(str(fixture.resolve())) == 1
+    assert len((tmp_path / "out.jsonl").read_text().splitlines()) == 3
+
+
+def test_the_next_batch_reads_a_fixture_rewritten_in_between(tmp_path):
+    titles = ["Why is the sky blue?", "Why is grass green?"]
+    fixture = tmp_path / "gen.jsonl"
+    run = mimic_inputs(tmp_path, titles, {"kind": "mock", "fixture_path": "gen.jsonl"})
+    for version in ("old", "new"):
+        record_mimic_replies(fixture, {title: f"{version} {title}" for title in titles})
+        # a later mtime, whatever the file system's clock resolution
+        os.utime(fixture, ns=(0, (1 + (version == "new")) * 10**9))
+        out = tmp_path / f"{version}.jsonl"
+        assert run(out).exit_code == 0
+        assert [json.loads(line)["answer_text"] for line in out.read_text().splitlines()] == [
+            f"{version} {title}" for title in titles]
 
 
 def test_an_empty_mimic_reply_exits_2_and_keeps_the_finished_answers(tmp_path):

@@ -11,7 +11,7 @@ from discotrace.errors import (
     UnknownNuclearity,
     UnknownRelation,
 )
-from discotrace.rst import leaf_count, normalize_relation
+from discotrace.rst import RELATIONS, leaf_count, normalize_relation
 
 from conftest import chain_tree, deep_tree_json, leaf, node, random_tree, tree_docs
 
@@ -65,6 +65,13 @@ def test_relation_case_normalization():
     assert tree.root.relation == "Topic-Change"
     assert tree.root.nuclearity == "NN"
     assert normalize_relation("SAME-UNIT") == "Same-Unit"
+
+
+@pytest.mark.parametrize("label", [*sorted(RELATIONS), "contrast", "SAME-UNIT", "topic-CHANGE",
+                                   "manner-Means", "Same-unit", "elaboration-"])
+def test_a_relation_normalizes_as_title_case_by_hyphen(label):
+    # A label already in RELATIONS is returned as it is; that must equal the general form.
+    assert normalize_relation(label) == "-".join(part.capitalize() for part in label.split("-"))
 
 
 def test_get_leaves_leaf_case():
